@@ -9,7 +9,7 @@ cost, RMSD, mean-shift distance) quantify distributional and alignment
 quality.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 from .datasets import (
     AlignedDataset,

@@ -38,7 +38,7 @@ from .datasets import (
     write_cloud,
     write_pairs,
 )
-from .errors import BridgekitError, DataError, NumericsError
+from .errors import BridgekitError, DataError, NumericsError, UsageError
 from .metrics import mmd, ps_l2, rmsd, sinkhorn_w
 from .plotting import write_svg
 from .sde import TimeGrid, read_trajectories, simulate_sde, write_trajectories
@@ -80,17 +80,20 @@ def _write_manifest(anchor_path, command: str, config: dict, seed, inputs: list,
 def cmd_generate(args) -> int:
     started = time.monotonic()
     rng = np.random.default_rng(args.seed)
-    if args.dataset == "moon":
-        noise = 0.05 if args.noise_std is None else args.noise_std
-        ds = generate_moon(args.n, noise_std=noise, rng=rng)
-    elif args.dataset == "t":
-        noise = 2.0 if args.noise_std is None else args.noise_std
-        ds = generate_t(args.n, noise_std=noise, rng=rng)
-    else:
-        shift = None
-        if args.shift is not None:
-            shift = np.array([float(v) for v in args.shift.split(",")])
-        ds = generate_gauss_pairs(args.n, d=args.dim, shift=shift, rng=rng)
+    try:  # bad --shift numbers, and pair counts or shift lengths a generator rejects
+        if args.dataset == "moon":
+            noise = 0.05 if args.noise_std is None else args.noise_std
+            ds = generate_moon(args.n, noise_std=noise, rng=rng)
+        elif args.dataset == "t":
+            noise = 2.0 if args.noise_std is None else args.noise_std
+            ds = generate_t(args.n, noise_std=noise, rng=rng)
+        else:
+            shift = None
+            if args.shift is not None:
+                shift = np.array([float(v) for v in args.shift.split(",")])
+            ds = generate_gauss_pairs(args.n, d=args.dim, shift=shift, rng=rng)
+    except ValueError as exc:
+        raise UsageError(f"generate --dataset {args.dataset}: {exc}") from None
     write_pairs(args.out, ds)
     _write_manifest(
         args.out, "generate",
@@ -280,6 +283,16 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgekit",
@@ -290,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate an aligned-pair dataset CSV")
     p.add_argument("--dataset", required=True, choices=DATASETS)
-    p.add_argument("--n", type=int, required=True, help="number of pairs")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of pairs")
     p.add_argument("--noise-std", type=float, default=None,
                    help="noise level (defaults: moon 0.05, t 2.0)")
-    p.add_argument("--dim", type=int, default=2, help="dimension for gauss-pairs")
+    p.add_argument("--dim", type=_positive_int, default=2, help="dimension for gauss-pairs")
     p.add_argument("--shift", type=str, default=None,
                    help="comma-separated shift vector for gauss-pairs")
     p.add_argument("--seed", type=int, default=0)
@@ -309,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="simulate trajectories from a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="starting points: cloud CSV or pair CSV (x0 side)")
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--n-poses", type=int, default=1)
+    p.add_argument("--steps", type=_positive_int, default=100)
+    p.add_argument("--n-poses", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.add_argument("--endpoints-out", default=None,
@@ -347,6 +360,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4

@@ -5,6 +5,10 @@ class BridgekitError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UsageError(BridgekitError):
+    """Command-line arguments the parser accepts but the command cannot use."""
+
+
 class DataError(BridgekitError):
     """Malformed or incompatible input data (files, shapes, configs)."""
 

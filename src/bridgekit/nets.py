@@ -9,9 +9,15 @@ Both networks share one layout:
     state dimension.
 
 Every linear layer except the final head layer is followed by the chosen
-activation and dropout. Forward passes return caches that ``backward``
-consumes to produce exact parameter gradients; no autodiff framework is
-involved, which keeps eval-mode passes pure functions of (params, t, x).
+activation and dropout. ``forward`` returns caches that ``backward`` consumes
+to produce exact parameter gradients; no autodiff framework is involved.
+
+Calling a network in eval mode takes a separate, cache-free inference path:
+at a scalar ``t`` the time branch runs on one row and is folded into the
+first head layer's bias, and every hidden layer writes into buffers the
+network owns and reuses across calls (the returned array is always fresh).
+Those buffers make inference not re-entrant: one network object must not be
+called from two threads at once.
 """
 
 from __future__ import annotations
@@ -37,9 +43,20 @@ _SELU_SCALE = 1.0507009873554805
 _LEAKY_SLOPE = 0.01
 
 
-def _selu(z):
-    neg = np.minimum(z, 0.0)  # keeps expm1 off the overflowing branch
-    return _SELU_SCALE * np.where(z > 0, z, _SELU_ALPHA * np.expm1(neg))
+# Each activation is applied in place to a pre-activation ``z``; ``tmp`` is a
+# scratch array of the same shape that the function may overwrite.
+
+
+def _selu_(z, tmp):
+    # scale * (max(z, 0) + alpha * expm1(min(z, 0))) is bit-equal to the
+    # np.where form, and keeps expm1 off the overflowing branch.
+    np.minimum(z, 0.0, out=tmp)
+    np.expm1(tmp, out=tmp)
+    tmp *= _SELU_ALPHA
+    np.maximum(z, 0.0, out=z)
+    z += tmp
+    z *= _SELU_SCALE
+    return z
 
 
 def _selu_grad(z):
@@ -56,8 +73,8 @@ def _sigmoid(z):
     return out
 
 
-def _silu(z):
-    return z * _sigmoid(z)
+def _silu_(z, tmp):
+    return np.multiply(z, _sigmoid(z), out=z)
 
 
 def _silu_grad(z):
@@ -65,28 +82,41 @@ def _silu_grad(z):
     return s * (1.0 + z * (1.0 - s))
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu_(z, tmp):
+    return np.maximum(z, 0.0, out=z)
 
 
 def _relu_grad(z):
     return (z > 0).astype(float)
 
 
-def _leaky_relu(z):
-    return np.where(z > 0, z, _LEAKY_SLOPE * z)
+def _leaky_relu_(z, tmp):
+    # max(z, slope * z) picks z for z > 0 and slope * z otherwise (0 < slope < 1).
+    return np.maximum(z, np.multiply(z, _LEAKY_SLOPE, out=tmp), out=z)
 
 
 def _leaky_relu_grad(z):
     return np.where(z > 0, 1.0, _LEAKY_SLOPE)
 
 
-ACTIVATIONS = {
-    "selu": (_selu, _selu_grad),
-    "silu": (_silu, _silu_grad),
-    "relu": (_relu, _relu_grad),
-    "leaky_relu": (_leaky_relu, _leaky_relu_grad),
+_IN_PLACE = {
+    "selu": (_selu_, _selu_grad),
+    "silu": (_silu_, _silu_grad),
+    "relu": (_relu_, _relu_grad),
+    "leaky_relu": (_leaky_relu_, _leaky_relu_grad),
 }
+
+
+def _copying(act_):
+    def act(z):
+        z = np.array(z, dtype=float)
+        return act_(z, np.empty_like(z))
+
+    return act
+
+
+# name -> (activation, gradient); both leave their argument untouched.
+ACTIVATIONS = {name: (_copying(act_), grad) for name, (act_, grad) in _IN_PLACE.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +242,8 @@ class _Block:
     activation + dropout."""
 
     def __init__(self, sizes, activation, dropout_rate, bare_last, rng, zero_last=False):
-        act, act_grad = ACTIVATIONS[activation]
-        self._act, self._act_grad = act, act_grad
+        self._act, self._act_grad = ACTIVATIONS[activation]
+        self._act_ = _IN_PLACE[activation][0]
         self.dropout_rate = dropout_rate
         self.bare_last = bare_last
         self.weights = []
@@ -254,6 +284,31 @@ class _Block:
             cache.append((h, z, mask))
             h = a
         return h, cache
+
+    def infer(self, h, bufs, where, first=None):
+        """Eval-mode output of the block, keeping no cache.
+
+        Layer i writes into ``bufs[i % 2]`` and applies its activation in
+        place with the other buffer as scratch, so ``bufs[0]`` must not hold
+        ``h`` (``bufs[1]`` may: h is dead once layer 0's product is formed).
+        The output of a non-bare last layer is a view of one buffer; a bare
+        last layer returns a fresh array. ``first`` = (W, b) replaces
+        the weight and bias of layer 0; ``b`` may hold one row per row of h.
+        """
+        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if li == 0 and first is not None:
+                w, b = first
+            if li == self.n_layers - 1 and self.bare_last:
+                a = h @ w.T
+                a += b
+            else:
+                a = np.matmul(h, w.T, out=bufs[li % 2])
+                a += b
+                self._act_(a, bufs[(li + 1) % 2])
+            if not np.all(np.isfinite(a)):
+                raise NumericsError(f"non-finite activation in {where} layer {li}")
+            h = a
+        return h
 
     def backward(self, cache, grad_out):
         """Returns (list of (dW, db) per layer, grad wrt block input)."""
@@ -296,6 +351,7 @@ class _TimeConditionedNet:
             [2 * h] + [h] * (HEAD_LAYERS - 1) + [spec.output_dim],
             spec.activation, spec.dropout_rate, bare_last=True, rng=rng, zero_last=True,
         )
+        self._bufs = np.empty((2, 0, h))  # inference layer buffers, grown on demand
 
     # -- parameters ---------------------------------------------------------
 
@@ -334,9 +390,7 @@ class _TimeConditionedNet:
                 f"{self.spec.input_dim}"
             )
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            t = np.full(x.shape[0], float(t))
-        if t.shape != (x.shape[0],):
+        if t.ndim != 0 and t.shape != (x.shape[0],):
             raise ValueError("t must be a scalar or one value per row of x")
         if self.spec.uses_drift_input:
             if extra is None:
@@ -349,17 +403,44 @@ class _TimeConditionedNet:
             net_in = x
         return t, net_in
 
-    def forward(self, t, x, extra=None, train=False, rng=None):
-        """Returns (output, cache)."""
+    def forward(self, t, x, extra=None, train=False, rng=None, keep_cache=True):
+        """Returns (output, cache).
+
+        With ``keep_cache=False`` an eval-mode pass takes the cache-free
+        inference path and the cache is None.
+        """
         if train and self.spec.dropout_rate > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
         t, net_in = self._prepare(t, x, extra)
+        if not (train or keep_cache):
+            return self._infer(t, net_in), None
+        if t.ndim == 0:
+            t = np.full(net_in.shape[0], float(t))
         emb = time_embed(t, self.spec.time_embed_dim)
         hx, cx = self.x_enc.forward(net_in, train, rng, "x_enc")
         ht, ct = self.t_enc.forward(emb, train, rng, "t_enc")
         joint = np.concatenate([hx, ht], axis=1)
         out, ch = self.head.forward(joint, train, rng, "head")
         return out, (cx, ct, ch)
+
+    def _infer(self, t, net_in):
+        """Eval-mode output without caches. A scalar ``t`` runs the time
+        branch on one row; head layer 0 is split into its state and time
+        halves, hx @ Wx.T + (ht @ Wt.T + b0), so no concatenation is built."""
+        n, h = net_in.shape[0], self.spec.hidden_dim
+        t = np.atleast_1d(t)
+        rows = max(n, len(t))
+        if rows > self._bufs.shape[1]:
+            self._bufs = np.empty((2, rows, h))
+        a, b = self._bufs
+        ht = self.t_enc.infer(time_embed(t, self.spec.time_embed_dim),
+                              (a[: len(t)], b[: len(t)]), "t_enc")
+        w0 = self.head.weights[0]
+        t_bias = ht @ w0[:, h:].T
+        t_bias += self.head.biases[0]
+        a, b = a[:n], b[:n]
+        hx = self.x_enc.infer(net_in, (a, b), "x_enc")  # an odd layer count leaves hx in a
+        return self.head.infer(hx, (b, a), "head", first=(w0[:, :h], t_bias))
 
     def backward(self, cache, grad_out) -> list[np.ndarray]:
         """Parameter gradients (same order as :meth:`params`) from an output
@@ -386,7 +467,7 @@ class DriftNet(_TimeConditionedNet):
         super().__init__(spec, rng)
 
     def __call__(self, t, x, train=False, rng=None):
-        out, _ = self.forward(t, x, train=train, rng=rng)
+        out, _ = self.forward(t, x, train=train, rng=rng, keep_cache=False)
         return out
 
 
@@ -399,7 +480,7 @@ class DoobNet(_TimeConditionedNet):
 
     def __call__(self, t, x, b_value=None, train=False, rng=None):
         extra = b_value if self.spec.uses_drift_input else None
-        out, _ = self.forward(t, x, extra=extra, train=train, rng=rng)
+        out, _ = self.forward(t, x, extra=extra, train=train, rng=rng, keep_cache=False)
         return out
 
 

@@ -55,6 +55,24 @@ def test_generate_rejects_unknown_dataset(tmp_path, capsys):
     assert "moon" in err and "gauss-pairs" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "model.bkt", "--data", "starts.csv", "--out", "t.csv", "--steps", "0"],
+    ["sample", "--model", "model.bkt", "--data", "starts.csv", "--out", "t.csv",
+     "--n-poses", "-1"],
+    ["generate", "--dataset", "moon", "--n", "0", "--out", "g.csv"],
+    ["generate", "--dataset", "gauss-pairs", "--n", "5", "--shift", "a,b", "--out", "g.csv"],
+], ids=["sample-steps-0", "sample-n-poses-negative", "generate-n-0", "generate-bad-shift"])
+def test_bad_arguments_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # argparse rejects the value before the command runs
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_generate_moon_has_four_coordinate_columns(moon_csv):
     header = moon_csv.read_text().splitlines()[0]
     assert header == "x0_0,x0_1,x1_0,x1_1"

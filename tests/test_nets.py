@@ -245,3 +245,83 @@ def test_param_set_flat_round_trip():
     assert np.array_equal(net.params().flat(), flat * 2.0)
     with pytest.raises(ValueError):
         ps.set_flat(flat[:-1])
+
+
+# ---------------------------------------------------------------------------
+# Cache-free inference path
+# ---------------------------------------------------------------------------
+
+
+def _inference_pair(activation, seed):
+    """A drift net and a drift-input correction net with non-zero heads."""
+    drift = randomize(DriftNet(small_spec(activation=activation)), seed)
+    doob = randomize(DoobNet(small_spec(activation=activation, uses_drift_input=True)), seed + 1)
+    return drift, doob
+
+
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_inference_matches_cached_forward(activation):
+    drift, doob = _inference_pair(activation, 70)
+    rng = np.random.default_rng(71)
+    x = rng.normal(size=(37, 3))
+    b_val = rng.normal(size=(37, 3))
+    for t in (0.0, 0.41, 1.0):
+        for t_arg in (t, np.full(len(x), t)):
+            np.testing.assert_allclose(drift(t_arg, x), drift.forward(t, x)[0],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(doob(t_arg, x, b_value=b_val),
+                                       doob.forward(t, x, extra=b_val)[0], rtol=0, atol=1e-12)
+    t_rows = rng.random(len(x))
+    np.testing.assert_allclose(drift(t_rows, x), drift.forward(t_rows, x)[0], rtol=0, atol=1e-12)
+
+
+def test_inference_buffers_reused_across_row_counts():
+    rng = np.random.default_rng(72)
+    big, small = rng.normal(size=(4096, 3)), rng.normal(size=(5, 3))
+    b_big, b_small = rng.normal(size=(4096, 3)), rng.normal(size=(5, 3))
+    drift, doob = _inference_pair("selu", 73)
+    got = [(drift(0.3, x), doob(0.3, x, b_value=b)) for x, b in
+           ((big, b_big), (small, b_small), (big, b_big))]
+    for (d_out, m_out), x, b in zip(got, (big, small, big), (b_big, b_small, b_big)):
+        fresh_drift, fresh_doob = _inference_pair("selu", 73)
+        assert np.array_equal(d_out, fresh_drift(0.3, x))
+        assert np.array_equal(m_out, fresh_doob(0.3, x, b_value=b))
+
+
+def test_inference_output_is_not_overwritten_by_next_call():
+    net = randomize(DriftNet(small_spec()), 74)
+    x = np.random.default_rng(75).normal(size=(8, 3))
+    first = net(0.2, x)
+    kept = first.copy()
+    net(0.9, 2.0 * x)
+    assert np.array_equal(first, kept)
+
+
+@pytest.mark.parametrize("where", ["x_enc", "t_enc", "head"])
+def test_inference_nan_names_the_layer(where):
+    net = randomize(DriftNet(small_spec()), 76)
+    x = np.random.default_rng(77).normal(size=(4, 3))
+    if where == "x_enc":
+        x[2, 1] = np.nan
+    else:
+        getattr(net, where).weights[0][0, 0] = np.nan
+    with pytest.raises(NumericsError, match=f"{where} layer 0"):
+        net(0.5, x)
+
+
+def test_inference_allocates_no_layer_buffers():
+    # Deterministic guard on the mechanism, not on time: after one warm-up
+    # call a 4096-row eval call reuses the net's layer buffers, so its traced
+    # allocation peak stays far below one (4096, 64) float64 array (2 MB).
+    import tracemalloc
+
+    net = randomize(DriftNet(MlpSpec(input_dim=2, output_dim=2)), 78, scale=0.1)
+    x = np.random.default_rng(79).normal(size=(4096, 2))
+    net(0.5, x)
+    tracemalloc.start()
+    try:
+        net(0.5, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -81,6 +81,24 @@ def test_noise_is_per_trajectory_not_per_batch():
     assert np.array_equal(whole.states[6:], second.states)
 
 
+def test_network_drift_agrees_across_batchings_to_rounding():
+    # A network drift is evaluated by BLAS products that are not row-invariant,
+    # so split batches agree with the whole batch only to rounding.
+    from bridgekit import DriftNet, MlpSpec
+
+    net = DriftNet(MlpSpec(input_dim=2, output_dim=2, hidden_dim=16, time_embed_dim=8),
+                   rng=np.random.default_rng(0))
+    ps = net.params()
+    ps.set_flat(np.random.default_rng(1).normal(0.0, 0.3, ps.n_params))
+    assert np.any(net.head.weights[-1] != 0.0)
+    x0 = np.random.default_rng(2).normal(size=(300, 2))
+    whole = simulate_sde(x0, net, CONST, TimeGrid(20), seed=6)
+    first = simulate_sde(x0[:7], net, CONST, TimeGrid(20), seed=6)
+    rest = simulate_sde(x0[7:], net, CONST, TimeGrid(20), seed=6, traj_offset=7)
+    split = np.concatenate([first.states, rest.states])
+    np.testing.assert_allclose(split, whole.states, rtol=0, atol=1e-12)
+
+
 def test_non_finite_drift_reports_step_and_state():
     def bad(t, x):
         return np.full_like(x, np.nan) if t >= 0.5 else np.zeros_like(x)
@@ -224,6 +242,47 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(batch.times, again.times)
     header = path.read_text().splitlines()[0]
     assert header == "traj_id,step,t,x_0,x_1"
+
+
+def _reference_trajectory_csv(batch):
+    """Per-cell rendering the chunked writer must reproduce byte for byte."""
+    lines = ["traj_id,step,t," + ",".join(f"x_{j}" for j in range(batch.d))]
+    for i in range(batch.n_traj):
+        for k in range(batch.n_steps + 1):
+            cells = [str(i), str(k), format(batch.times[k], ".17g")]
+            cells += [format(v, ".17g") for v in batch.states[i, k]]
+            lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n_traj,n_steps,d", [(3, 4, 1), (2, 5, 3), (1700, 9, 1)])
+def test_trajectory_writer_matches_per_cell_format(tmp_path, n_traj, n_steps, d):
+    # The last case has 17,000 rows, more than one write chunk.
+    states = np.random.default_rng(n_traj).normal(size=(n_traj, n_steps + 1, d))
+    special = [-0.0, 5e-324, 1e300, 0.1, 3.0, -2.0, 0.0]
+    states.reshape(-1)[: len(special)] = special
+    batch = TrajectoryBatch(states=states, times=TimeGrid(n_steps).times)
+    path = tmp_path / "traj.csv"
+    write_trajectories(path, batch)
+    assert path.read_bytes() == _reference_trajectory_csv(batch)
+    again = read_trajectories(path)
+    assert np.array_equal(again.states, batch.states)
+    assert np.array_equal(again.times, batch.times)
+
+
+@pytest.mark.parametrize("rows,line,message", [
+    (["0,0,0,1", "0,1,1,2", "0,0,0,3"], 4, "duplicate row for trajectory 0 step 0"),
+    (["0,0,0,1", "1.7,0,0,2"], 3, "integers"),
+    (["0,0,0,1", "0,1.5,1,2"], 3, "integers"),
+    (["0,0,0,1", "0,1,1,2", "1,0,0,3", "1,1,0.5,4"], 5, "t = 0.5 at step 1 differs"),
+], ids=["duplicate", "fractional-id", "fractional-step", "t-disagrees"])
+def test_trajectory_reader_rejects_inconsistent_rows(tmp_path, rows, line, message):
+    from bridgekit.errors import DataError
+
+    path = tmp_path / "bad.csv"
+    path.write_text("traj_id,step,t,x_0\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=rf"bad\.csv:{line}: .*{message}"):
+        read_trajectories(path)
 
 
 def test_trajectory_csv_header_only_is_empty_batch(tmp_path):
