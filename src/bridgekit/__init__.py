@@ -32,7 +32,6 @@ from .sde import (
     bridge_drift_target,
     bridge_marginal_moments,
     bridge_marginal_sample,
-    cum_beta,
     estimate_h_mc,
     read_trajectories,
     simulate_conditioned,
@@ -71,7 +70,6 @@ __all__ = [
     "bridge_drift_target",
     "bridge_marginal_moments",
     "bridge_marginal_sample",
-    "cum_beta",
     "estimate_h_mc",
     "export_drift",
     "generate_gauss_pairs",

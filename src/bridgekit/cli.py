@@ -21,6 +21,7 @@ if "BRIDGEKIT_THREADS" in os.environ:  # must precede the first numpy import
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -293,6 +294,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgekit",
@@ -337,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control", default=None)
     p.add_argument("--metrics", default="mmd,sinkhorn,rmsd,ps_l2",
                    help=f"comma-separated subset of: {', '.join(METRICS)}")
-    p.add_argument("--eps", type=float, default=0.1, help="sinkhorn regularization")
+    p.add_argument("--eps", type=_positive_float, default=0.1, help="sinkhorn regularization")
     p.add_argument("--out", default=None, help="write the report to this file")
     p.add_argument("--csv-out", default=None, help="also write a one-row CSV")
     p.set_defaults(func=cmd_evaluate)

@@ -12,6 +12,12 @@ Every linear layer except the final head layer is followed by the chosen
 activation and dropout. ``forward`` returns caches that ``backward`` consumes
 to produce exact parameter gradients; no autodiff framework is involved.
 
+A network owns its parameters as one contiguous float64 vector ``theta``,
+laid out block by block (x_enc, t_enc, head), layer by layer, W then b; every
+layer's weight and bias are views of it. ``backward`` returns the gradient as
+one vector in the same layout, so the optimizer, the EMA and the model file
+each handle one vector per network and only this module knows the layers.
+
 Calling a network in eval mode takes a separate, cache-free inference path:
 at a scalar ``t`` the time branch runs on one row and is folded into the
 first head layer's bias, and every hidden layer writes into buffers the
@@ -172,42 +178,30 @@ class MlpSpec:
 
 
 class ParamSet:
-    """Named parameter arrays plus flat-vector and byte views."""
+    """A named view of one network's flat parameter vector.
 
-    def __init__(self, names: list[str], arrays: list[np.ndarray]):
-        if len(names) != len(arrays):
-            raise ValueError("names and arrays must align")
-        self.names = list(names)
-        self.arrays = [np.asarray(a, dtype=float) for a in arrays]
+    ``flat`` returns a copy; ``set_flat`` writes through to the network.
+    """
 
-    def __len__(self) -> int:
-        return len(self.arrays)
+    def __init__(self, vector: np.ndarray, shape_table: list[tuple[str, tuple[int, ...]]]):
+        self.vector = vector
+        self.shape_table = shape_table
 
     @property
     def n_params(self) -> int:
-        return sum(a.size for a in self.arrays)
-
-    @property
-    def shape_table(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [(n, a.shape) for n, a in zip(self.names, self.arrays)]
+        return self.vector.size
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays])
+        return self.vector.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=float)
         if vec.size != self.n_params:
             raise ValueError(f"expected {self.n_params} values, got {vec.size}")
-        pos = 0
-        for a in self.arrays:
-            a[...] = vec[pos : pos + a.size].reshape(a.shape)
-            pos += a.size
-
-    def copy_arrays(self) -> list[np.ndarray]:
-        return [a.copy() for a in self.arrays]
+        self.vector[...] = vec.ravel()
 
     def tobytes(self) -> bytes:
-        return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in self.arrays)
+        return self.vector.astype("<f8", copy=False).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +304,9 @@ class _Block:
             h = a
         return h
 
-    def backward(self, cache, grad_out):
-        """Returns (list of (dW, db) per layer, grad wrt block input)."""
-        grads = [None] * self.n_layers
+    def backward(self, cache, grad_out, grads):
+        """Writes each layer's (dW, db) into the views ``grads``; returns the
+        gradient wrt the block input."""
         g = grad_out
         for li in range(self.n_layers - 1, -1, -1):
             h, z, mask = cache[li]
@@ -321,11 +315,11 @@ class _Block:
                 if mask is not None:
                     g = g * mask
                 g = g * self._act_grad(z)
-            dw = g.T @ h
-            db = g.sum(axis=0)
-            grads[li] = (dw, db)
+            dw, db = grads[li]
+            np.matmul(g.T, h, out=dw)
+            g.sum(axis=0, out=db)
             g = g @ self.weights[li]
-        return grads, g
+        return g
 
 
 class _TimeConditionedNet:
@@ -352,31 +346,36 @@ class _TimeConditionedNet:
             spec.activation, spec.dropout_rate, bare_last=True, rng=rng, zero_last=True,
         )
         self._bufs = np.empty((2, 0, h))  # inference layer buffers, grown on demand
+        # Move the drawn values into one vector and make every layer a view of it.
+        self.theta = np.concatenate([a.ravel() for blk in self._blocks()
+                                     for wb in zip(blk.weights, blk.biases) for a in wb])
+        for blk, views in zip(self._blocks(), self._layer_views(self.theta)):
+            blk.weights = [w for w, _ in views]
+            blk.biases = [b for _, b in views]
 
     # -- parameters ---------------------------------------------------------
 
     def _blocks(self):
         return (self.x_enc, self.t_enc, self.head)
 
-    def params(self) -> ParamSet:
-        names, arrays = [], []
-        for bname, block in zip(self.block_names, self._blocks()):
-            for li in range(block.n_layers):
-                names.append(f"{bname}/{li}/W")
-                arrays.append(block.weights[li])
-                names.append(f"{bname}/{li}/b")
-                arrays.append(block.biases[li])
-        return ParamSet(names, arrays)
+    def _layer_views(self, vec):
+        """Per block, the (W, b) views of each layer into a vector laid out
+        like ``theta``."""
+        out, pos = [], 0
+        for blk in self._blocks():
+            out.append([])
+            for w, b in zip(blk.weights, blk.biases):
+                end = pos + w.size
+                out[-1].append((vec[pos:end].reshape(w.shape), vec[end : end + b.size]))
+                pos = end + b.size
+        return out
 
-    def set_param_arrays(self, arrays: list[np.ndarray]) -> None:
-        own = self.params().arrays
-        if len(arrays) != len(own):
-            raise ValueError(f"expected {len(own)} parameter arrays, got {len(arrays)}")
-        for dst, src in zip(own, arrays):
-            src = np.asarray(src, dtype=float)
-            if dst.shape != src.shape:
-                raise ValueError(f"parameter shape mismatch: {dst.shape} vs {src.shape}")
-            dst[...] = src
+    def params(self) -> ParamSet:
+        table = []
+        for bname, block in zip(self.block_names, self._blocks()):
+            for li, (w, b) in enumerate(zip(block.weights, block.biases)):
+                table += [(f"{bname}/{li}/W", w.shape), (f"{bname}/{li}/b", b.shape)]
+        return ParamSet(self.theta, table)
 
     # -- forward / backward -------------------------------------------------
 
@@ -442,20 +441,17 @@ class _TimeConditionedNet:
         hx = self.x_enc.infer(net_in, (a, b), "x_enc")  # an odd layer count leaves hx in a
         return self.head.infer(hx, (b, a), "head", first=(w0[:, :h], t_bias))
 
-    def backward(self, cache, grad_out) -> list[np.ndarray]:
-        """Parameter gradients (same order as :meth:`params`) from an output
-        cotangent."""
+    def backward(self, cache, grad_out) -> np.ndarray:
+        """Parameter gradient, one fresh vector laid out like ``theta``, from
+        an output cotangent."""
         cx, ct, ch = cache
         h = self.spec.hidden_dim
-        head_grads, g_joint = self.head.backward(ch, grad_out)
-        x_grads, _ = self.x_enc.backward(cx, g_joint[:, :h])
-        t_grads, _ = self.t_enc.backward(ct, g_joint[:, h:])
-        out = []
-        for grads in (x_grads, t_grads, head_grads):
-            for dw, db in grads:
-                out.append(dw)
-                out.append(db)
-        return out
+        grad = np.empty_like(self.theta)
+        gx, gt, gh = self._layer_views(grad)
+        g_joint = self.head.backward(ch, grad_out, gh)
+        self.x_enc.backward(cx, g_joint[:, :h], gx)
+        self.t_enc.backward(ct, g_joint[:, h:], gt)
+        return grad
 
 
 class DriftNet(_TimeConditionedNet):

@@ -1,14 +1,24 @@
-"""AdamW with decoupled weight decay, and EMA parameter tracking."""
+"""AdamW with decoupled weight decay, and EMA parameter tracking.
+
+Both work on one flat float64 parameter vector per network (a network's
+``theta``) and update it in place, using scratch vectors they own so that a
+step allocates no temporary the size of the vector.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 
+def _check_shape(vec, expected: tuple, what: str) -> None:
+    if np.shape(vec) != expected:
+        raise ValueError(f"{what} shape {np.shape(vec)} does not match {expected}")
+
+
 class AdamW:
     """Adam with bias correction and decoupled weight decay.
 
-    Update per array:
+    Update per element:
         m <- b1 m + (1 - b1) g
         v <- b2 v + (1 - b2) g^2
         p <- p - lr * ( m_hat / (sqrt(v_hat) + eps) + weight_decay * p )
@@ -22,36 +32,36 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(np.shape(params))
+        self.v = np.zeros_like(self.m)
+        self._a = np.empty_like(self.m)
+        self._b = np.empty_like(self.m)
 
-    def step(self, params, grads) -> None:
-        """One in-place update of ``params`` from ``grads`` (same structure)."""
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValueError("parameter/gradient structure does not match optimizer state")
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One in-place update of the vector ``params`` from ``grads``."""
+        _check_shape(params, self.m.shape, "parameter")
+        _check_shape(grads, self.m.shape, "gradient")
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            if p.shape != g.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
-
-
-def adamw_step(opt: AdamW, params, grads):
-    """Functional wrapper around :meth:`AdamW.step`; returns the params."""
-    opt.step(params, grads)
-    return params
+        m, v, a, b, g = self.m, self.v, self._a, self._b, grads
+        # The operations of the formula above, in its order, written into the
+        # scratch vectors a and b.
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=b)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=b)
+        v += np.multiply(b, g, out=b)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += self.eps
+        np.divide(np.divide(m, bc1, out=b), a, out=a)
+        a += np.multiply(params, self.weight_decay, out=b)
+        a *= self.lr
+        params -= a
 
 
 class EmaTracker:
-    """Exponential moving average of parameter arrays.
+    """Exponential moving average of a parameter vector.
 
     shadow <- decay * shadow + (1 - decay) * params
     """
@@ -60,19 +70,10 @@ class EmaTracker:
         if not 0.0 <= decay <= 1.0:
             raise ValueError("decay must lie in [0, 1]")
         self.decay = float(decay)
-        self.shadow = [np.array(p, dtype=float, copy=True) for p in params]
+        self.shadow = np.array(params, dtype=float, copy=True)
+        self._scratch = np.empty_like(self.shadow)
 
-    def update(self, params) -> None:
-        if len(params) != len(self.shadow):
-            raise ValueError("parameter structure does not match EMA state")
-        for s, p in zip(self.shadow, params):
-            if s.shape != p.shape:
-                raise ValueError(f"parameter shape {p.shape} does not match EMA {s.shape}")
-            s *= self.decay
-            s += (1.0 - self.decay) * p
-
-
-def ema_update(ema: EmaTracker, params):
-    """Functional wrapper around :meth:`EmaTracker.update`; returns the shadow."""
-    ema.update(params)
-    return ema.shadow
+    def update(self, params: np.ndarray) -> None:
+        _check_shape(params, self.shadow.shape, "parameter")
+        self.shadow *= self.decay
+        self.shadow += np.multiply(params, 1.0 - self.decay, out=self._scratch)

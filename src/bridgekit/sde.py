@@ -130,11 +130,6 @@ class DiffusivitySchedule:
         return cls(g_values=tuple(d["g_values"]), breakpoints=tuple(d.get("breakpoints", ())))
 
 
-def cum_beta(schedule: DiffusivitySchedule, t):
-    """Functional alias for :meth:`DiffusivitySchedule.cum_beta`."""
-    return schedule.cum_beta(t)
-
-
 def _check_time_domain(t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0):

@@ -8,11 +8,14 @@ Layout (all integers little-endian):
     ...       header: UTF-8 JSON with the network specs, schedule, training
               config snapshot, and the ordered layer table (name + shape)
     ...       payload: float64 little-endian parameter values, in layer-table
-              order (drift network first, then the correction network)
+              order (drift network first, then the correction network); each
+              network's part is its flat parameter vector, written as is
     32 bytes  SHA-256 over everything above
 
-Round trips are bit-exact; any corruption fails the checksum and nothing is
-returned.
+Round trips are bit-exact. Loading rebuilds the networks from the specs and
+requires the header's layer table to equal the one the specs imply; a header
+that cannot be used, like any corruption the checksum catches, raises a
+``ModelFormatError`` naming the file, and nothing is returned.
 """
 
 from __future__ import annotations
@@ -45,8 +48,12 @@ class LoadedModel:
     config: Optional[dict]
 
 
-def _layer_table(prefix: str, net) -> list[list]:
-    return [[f"{prefix}/{name}", list(shape)] for name, shape in net.params().shape_table]
+def _layer_table(nets) -> list[list]:
+    """Name and shape of every parameter array of ``nets``, (drift,) or
+    (drift, doob)."""
+    return [[f"{prefix}/{name}", list(shape)]
+            for prefix, net in zip(("drift", "doob"), nets)
+            for name, shape in net.params().shape_table]
 
 
 def save_model(
@@ -56,24 +63,17 @@ def save_model(
     schedule: DiffusivitySchedule,
     config: Optional[dict] = None,
 ) -> None:
-    kind = KIND_PAIR if doob is not None else KIND_DRIFT_ONLY
-    table = _layer_table("drift", drift)
-    arrays = list(drift.params().arrays)
-    doob_spec = None
-    if doob is not None:
-        table += _layer_table("doob", doob)
-        arrays += list(doob.params().arrays)
-        doob_spec = doob.spec.to_dict()
+    nets = (drift,) if doob is None else (drift, doob)
     header = {
-        "kind": kind,
+        "kind": KIND_PAIR if doob is not None else KIND_DRIFT_ONLY,
         "drift_spec": drift.spec.to_dict(),
-        "doob_spec": doob_spec,
+        "doob_spec": doob.spec.to_dict() if doob is not None else None,
         "schedule": schedule.to_dict(),
         "config": config,
-        "layer_table": table,
+        "layer_table": _layer_table(nets),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    payload = b"".join(net.params().tobytes() for net in nets)
     body = MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes + payload
     digest = hashlib.sha256(body).digest()
     with open(path, "wb") as fh:
@@ -105,44 +105,38 @@ def load_model(path) -> LoadedModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: unreadable model header ({exc})") from None
 
-    table = header["layer_table"]
-    n_values = sum(int(np.prod(shape)) for _, shape in table)
-    payload, pos = _take(buf, pos, 8 * n_values, "parameter payload")
+    try:
+        kind = header["kind"]
+        drift = DriftNet(MlpSpec.from_dict(header["drift_spec"]), rng=np.random.default_rng(0))
+        doob = None
+        if kind == KIND_PAIR:
+            doob = DoobNet(MlpSpec.from_dict(header["doob_spec"]), rng=np.random.default_rng(0))
+        elif kind != KIND_DRIFT_ONLY:
+            raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+        schedule = DiffusivitySchedule.from_dict(header["schedule"])
+        config = header.get("config")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: unusable model header ({exc!r})") from None
+    nets = (drift,) if doob is None else (drift, doob)
+    if header.get("layer_table") != _layer_table(nets):
+        raise ModelFormatError(f"{path}: layer table does not match the network specs")
+
+    payload, pos = _take(buf, pos, sum(8 * net.theta.size for net in nets), "parameter payload")
     digest, pos = _take(buf, pos, 32, "checksum")
     if pos != len(buf):
         raise ModelFormatError(f"{path}: {len(buf) - pos} trailing bytes after checksum")
     if hashlib.sha256(buf[:-32]).digest() != digest:
         raise ChecksumError(f"{path}: checksum mismatch, file is corrupt")
 
-    values = np.frombuffer(payload, dtype="<f8").astype(float)
-    arrays = []
+    values = np.frombuffer(payload, dtype="<f8")
     offset = 0
-    for _, shape in table:
-        size = int(np.prod(shape))
-        arrays.append(values[offset : offset + size].reshape([int(s) for s in shape]))
-        offset += size
-
-    drift_spec = MlpSpec.from_dict(header["drift_spec"])
-    drift = DriftNet(drift_spec, rng=np.random.default_rng(0))
-    n_drift = len(drift.params())
-    drift.set_param_arrays(arrays[:n_drift])
-
-    doob = None
-    if header["kind"] == KIND_PAIR:
-        if header["doob_spec"] is None:
-            raise ModelFormatError(f"{path}: pair model without a correction-network spec")
-        doob = DoobNet(MlpSpec.from_dict(header["doob_spec"]), rng=np.random.default_rng(0))
-        doob.set_param_arrays(arrays[n_drift:])
-    elif header["kind"] != KIND_DRIFT_ONLY:
-        raise ModelFormatError(f"{path}: unknown model kind {header['kind']!r}")
-    elif len(arrays) != n_drift:
-        raise ModelFormatError(f"{path}: drift-only model carries extra parameter arrays")
-
-    schedule = DiffusivitySchedule.from_dict(header["schedule"])
+    for net in nets:
+        net.theta[...] = values[offset : offset + net.theta.size]
+        offset += net.theta.size
     return LoadedModel(
-        kind=header["kind"],
+        kind=kind,
         drift=drift,
         doob=doob,
         schedule=schedule,
-        config=header.get("config"),
+        config=config,
     )

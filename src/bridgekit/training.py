@@ -238,12 +238,6 @@ class TrainResult:
     config: Optional[TrainConfig] = None
 
 
-def _net_with_params(net_cls, spec: MlpSpec, arrays) -> DriftNet | DoobNet:
-    net = net_cls(spec, rng=np.random.default_rng(0))
-    net.set_param_arrays(arrays)
-    return net
-
-
 def train(
     dataset: AlignedDataset,
     config: TrainConfig,
@@ -274,12 +268,10 @@ def train(
     doob = DoobNet(doob_spec, rng=init_m)
     schedule = config.schedule
 
-    params_d = drift.params().arrays
-    params_m = doob.params().arrays
-    opt_d = AdamW(params_d, lr=config.lr_drift)
-    opt_m = AdamW(params_m, lr=config.lr_doob)
-    ema_d = EmaTracker(params_d, decay=config.ema_decay)
-    ema_m = EmaTracker(params_m, decay=config.ema_decay)
+    opt_d = AdamW(drift.theta, lr=config.lr_drift)
+    opt_m = AdamW(doob.theta, lr=config.lr_doob)
+    ema_d = EmaTracker(drift.theta, decay=config.ema_decay)
+    ema_m = EmaTracker(doob.theta, decay=config.ema_decay)
 
     trace: list[LossBreakdown] = []
     for it in range(config.n_iters):
@@ -293,17 +285,17 @@ def train(
         )
         if not np.isfinite(breakdown.total):
             raise NumericsError(f"non-finite loss at iteration {it}: {breakdown}")
-        opt_m.step(params_m, grads_m)
-        opt_d.step(params_d, grads_d)
-        ema_m.update(params_m)
-        ema_d.update(params_d)
+        opt_m.step(doob.theta, grads_m)
+        opt_d.step(drift.theta, grads_d)
+        ema_m.update(doob.theta)
+        ema_d.update(drift.theta)
         trace.append(breakdown)
         if progress is not None and (it + 1) % config.eval_every == 0:
             progress(it + 1, breakdown)
 
-    drift_ema = _net_with_params(DriftNet, drift_spec, ema_d.shadow)
-    doob_ema = _net_with_params(DoobNet, doob_spec, ema_m.shadow)
-    return TrainResult(drift=drift_ema, doob=doob_ema, trace=trace, config=config)
+    drift.theta[...] = ema_d.shadow
+    doob.theta[...] = ema_m.shadow
+    return TrainResult(drift=drift, doob=doob, trace=trace, config=config)
 
 
 def write_loss_trace(path, trace: list[LossBreakdown]) -> None:

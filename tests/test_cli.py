@@ -61,7 +61,11 @@ def test_generate_rejects_unknown_dataset(tmp_path, capsys):
      "--n-poses", "-1"],
     ["generate", "--dataset", "moon", "--n", "0", "--out", "g.csv"],
     ["generate", "--dataset", "gauss-pairs", "--n", "5", "--shift", "a,b", "--out", "g.csv"],
-], ids=["sample-steps-0", "sample-n-poses-negative", "generate-n-0", "generate-bad-shift"])
+    ["evaluate", "--pred", "p.csv", "--ref", "r.csv", "--metrics", "sinkhorn", "--eps", "-1"],
+    ["evaluate", "--pred", "p.csv", "--ref", "r.csv", "--metrics", "sinkhorn", "--eps", "0"],
+    ["evaluate", "--pred", "p.csv", "--ref", "r.csv", "--metrics", "sinkhorn", "--eps", "nan"],
+], ids=["sample-steps-0", "sample-n-poses-negative", "generate-n-0", "generate-bad-shift",
+        "evaluate-eps-negative", "evaluate-eps-zero", "evaluate-eps-nan"])
 def test_bad_arguments_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     try:

@@ -173,7 +173,7 @@ def test_drift_gradients_match_finite_differences(activation):
         return float(np.sum(out * v))
 
     out, cache = net.forward(t, x)
-    grad = np.concatenate([g.ravel() for g in net.backward(cache, v)])
+    grad = net.backward(cache, v)
     assert directional_check(value, grad, base) < 1e-4
 
 
@@ -193,7 +193,7 @@ def test_doob_gradients_match_finite_differences():
         return float(np.sum(out * v))
 
     out, cache = net.forward(t, x, extra=b_val)
-    grad = np.concatenate([g.ravel() for g in net.backward(cache, v)])
+    grad = net.backward(cache, v)
     assert directional_check(value, grad, base) < 1e-4
 
 
@@ -212,7 +212,7 @@ def test_gradients_with_fixed_dropout_masks():
         return float(np.sum(out * v))
 
     out, cache = net.forward(t, x, train=True, rng=np.random.default_rng(777))
-    grad = np.concatenate([g.ravel() for g in net.backward(cache, v)])
+    grad = net.backward(cache, v)
     assert directional_check(value, grad, base) < 1e-4
 
 
@@ -245,6 +245,32 @@ def test_param_set_flat_round_trip():
     assert np.array_equal(net.params().flat(), flat * 2.0)
     with pytest.raises(ValueError):
         ps.set_flat(flat[:-1])
+
+
+def test_layers_are_views_of_the_flat_vector():
+    net = randomize(DoobNet(small_spec(uses_drift_input=True)), 61)
+    x = np.random.default_rng(62).normal(size=(5, 3))
+    b_val = np.random.default_rng(63).normal(size=(5, 3))
+    before, _ = net.forward(0.3, x, extra=b_val)
+    ps = net.params()
+    ps.set_flat(ps.flat() * 1.5)
+    after, _ = net.forward(0.3, x, extra=b_val)
+    assert not np.allclose(before, after)
+    assert all(np.shares_memory(a, net.theta) for blk in (net.x_enc, net.t_enc, net.head)
+               for a in blk.weights + blk.biases)
+
+
+def test_backward_returns_one_vector_in_param_order():
+    net = randomize(DriftNet(small_spec()), 64)
+    ps = net.params()
+    x = np.random.default_rng(65).normal(size=(4, 3))
+    out, cache = net.forward(np.random.default_rng(66).random(4), x)
+    grad = net.backward(cache, np.ones_like(out))
+    assert grad.shape == (ps.n_params,)
+    assert not np.shares_memory(grad, net.theta)
+    # The last head layer's bias gradient is the column sum of the cotangent.
+    assert ps.shape_table[-1] == ("head/2/b", (3,))
+    np.testing.assert_array_equal(grad[-3:], [4.0, 4.0, 4.0])
 
 
 # ---------------------------------------------------------------------------

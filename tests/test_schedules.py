@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgekit import DiffusivitySchedule, cum_beta
+from bridgekit import DiffusivitySchedule
 
 
 def quad_beta(schedule, t, panels=1_000_000):
@@ -14,22 +14,22 @@ def quad_beta(schedule, t, panels=1_000_000):
 
 
 def test_constant_beta_closed_form():
-    assert cum_beta(DiffusivitySchedule.constant(1.0), 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert cum_beta(DiffusivitySchedule.constant(2.0), 0.25) == pytest.approx(1.0, abs=1e-15)
+    assert DiffusivitySchedule.constant(1.0).cum_beta(0.5) == pytest.approx(0.5, abs=1e-15)
+    assert DiffusivitySchedule.constant(2.0).cum_beta(0.25) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_piecewise_beta_matches_quadrature_oracle():
     sched = DiffusivitySchedule(g_values=(1.0, 2.0), breakpoints=(0.5,))
     # Frozen from the quadrature oracle: 1^2 * 0.5 + 2^2 * 0.25. The trapezoid
     # rule carries O(1/panels) error at the jump, so compare at that accuracy.
-    assert cum_beta(sched, 0.75) == pytest.approx(1.5, abs=1e-12)
-    assert cum_beta(sched, 0.75) == pytest.approx(quad_beta(sched, 0.75), rel=1e-5)
+    assert sched.cum_beta(0.75) == pytest.approx(1.5, abs=1e-12)
+    assert sched.cum_beta(0.75) == pytest.approx(quad_beta(sched, 0.75), rel=1e-5)
 
 
 def test_constant_matches_quadrature_tightly():
     sched = DiffusivitySchedule.constant(1.7)
     for t in (0.1, 0.37, 0.9, 1.0):
-        assert cum_beta(sched, t) == pytest.approx(quad_beta(sched, t), rel=1e-12)
+        assert sched.cum_beta(t) == pytest.approx(quad_beta(sched, t), rel=1e-12)
 
 
 def test_beta_zero_at_origin():
@@ -37,7 +37,7 @@ def test_beta_zero_at_origin():
         DiffusivitySchedule.constant(3.0),
         DiffusivitySchedule(g_values=(0.5, 1.5, 2.0), breakpoints=(0.3, 0.6)),
     ):
-        assert cum_beta(sched, 0.0) == 0.0
+        assert sched.cum_beta(0.0) == 0.0
 
 
 @given(
@@ -53,21 +53,21 @@ def test_beta_strictly_increasing(g_values, raw_bps, t_pair):
     t_lo, t_hi = sorted(t_pair)
     if t_lo == t_hi:
         return
-    assert cum_beta(sched, t_lo) < cum_beta(sched, t_hi)
+    assert sched.cum_beta(t_lo) < sched.cum_beta(t_hi)
 
 
 def test_vectorized_beta():
     sched = DiffusivitySchedule(g_values=(1.0, 2.0), breakpoints=(0.5,))
     t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    np.testing.assert_allclose(cum_beta(sched, t), [0.0, 0.25, 0.5, 1.5, 2.5], atol=1e-15)
+    np.testing.assert_allclose(sched.cum_beta(t), [0.0, 0.25, 0.5, 1.5, 2.5], atol=1e-15)
 
 
 def test_time_domain_errors():
     sched = DiffusivitySchedule.constant(1.0)
     with pytest.raises(ValueError):
-        cum_beta(sched, -0.1)
+        sched.cum_beta(-0.1)
     with pytest.raises(ValueError):
-        cum_beta(sched, 1.0001)
+        sched.cum_beta(1.0001)
 
 
 def test_schedule_validation():

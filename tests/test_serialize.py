@@ -1,4 +1,8 @@
 import hashlib
+import json
+import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,11 @@ from bridgekit import (
     save_model,
     simulate_sde,
 )
+from bridgekit.cli import main
 from bridgekit.errors import ChecksumError, ModelFormatError, VersionError
 from bridgekit.training import export_drift
+
+V1_PAIR = Path(__file__).parent / "data" / "v1_pair.bkt"
 
 
 def make_nets(seed=0):
@@ -122,3 +129,71 @@ def test_export_requires_pair_model(tmp_path):
 
     with pytest.raises(DataError):
         export_drift(path, tmp_path / "again.bkt")
+
+
+# ---------------------------------------------------------------------------
+# Files written by an earlier build, and headers that cannot be used
+# ---------------------------------------------------------------------------
+
+
+def test_v1_pair_file_loads_and_resaves_identically(tmp_path):
+    """tests/data/v1_pair.bkt was written by bridgekit 0.1.1, whose networks
+    kept one array per layer; loading and saving it again must give the same
+    bytes."""
+    model = load_model(V1_PAIR)
+    assert model.kind == "pair"
+    assert model.drift.spec == MlpSpec(input_dim=2, output_dim=2, hidden_dim=4,
+                                       time_embed_dim=2)
+    assert model.doob.spec == MlpSpec(input_dim=2, output_dim=2, hidden_dim=4,
+                                      time_embed_dim=2, uses_drift_input=True)
+    assert model.schedule == DiffusivitySchedule(g_values=(1.0, 2.0), breakpoints=(0.5,))
+    assert model.config == {"n_iters": 10, "note": "format v1", "seed": 5}
+    out = tmp_path / "again.bkt"
+    save_model(out, model.drift, model.doob, model.schedule, config=model.config)
+    assert out.read_bytes() == V1_PAIR.read_bytes()
+
+
+def rewrite_header(src, dst, mutate):
+    """Copy a model file with its JSON header changed by ``mutate`` and a
+    checksum that matches the new bytes."""
+    raw = Path(src).read_bytes()
+    (header_len,) = struct.unpack("<I", raw[12:16])
+    header = json.loads(raw[16 : 16 + header_len])
+    mutate(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = raw[:8] + struct.pack("<II", 1, len(header_bytes)) + header_bytes
+    body += raw[16 + header_len : -32]
+    Path(dst).write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _transpose_first_weight(header):
+    header["layer_table"][0][1].reverse()
+
+
+BAD_HEADERS = {
+    "schedule-missing": lambda h: h.pop("schedule"),
+    "layer-table-not-a-list": lambda h: h.update(layer_table=5),
+    "first-weight-transposed": _transpose_first_weight,
+}
+
+
+@pytest.mark.parametrize("mutate", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+def test_unusable_header_is_a_format_error(tmp_path, mutate):
+    path = tmp_path / "bad.bkt"
+    rewrite_header(V1_PAIR, path, mutate)
+    with pytest.raises(ModelFormatError, match=re.escape(str(path))):
+        load_model(path)
+
+
+def test_cli_reports_unusable_header_without_traceback(tmp_path, capsys):
+    model = tmp_path / "bad.bkt"
+    rewrite_header(V1_PAIR, model, BAD_HEADERS["schedule-missing"])
+    starts = tmp_path / "starts.csv"
+    starts.write_text("x_0,x_1\n0.0,0.0\n")
+    code = main(["sample", "--model", str(model), "--data", str(starts),
+                 "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert str(model) in err
+    assert not (tmp_path / "t.csv").exists()
