@@ -9,7 +9,7 @@ cost, RMSD, mean-shift distance) quantify distributional and alignment
 quality.
 """
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"
 
 from .datasets import (
     AlignedDataset,

@@ -284,24 +284,21 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _number(cast, low, strict: bool = False):
+    """argparse type: ``cast(text)``, finite and at least ``low`` (above it if ``strict``)."""
+    bound = f"above {low}" if strict else f"at least {low}"
 
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {cast.__name__}, got {text!r}") from None
+        # Written so that NaN fails too.
+        if not ((low < value) if strict else (low <= value)) or not value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite value {bound}, got {text}")
+        return value
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 < value < math.inf:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate an aligned-pair dataset CSV")
     p.add_argument("--dataset", required=True, choices=DATASETS)
-    p.add_argument("--n", type=_positive_int, required=True, help="number of pairs")
-    p.add_argument("--noise-std", type=float, default=None,
+    p.add_argument("--n", type=_number(int, 1), required=True, help="number of pairs")
+    p.add_argument("--noise-std", type=_number(float, 0.0), default=None,
                    help="noise level (defaults: moon 0.05, t 2.0)")
-    p.add_argument("--dim", type=_positive_int, default=2, help="dimension for gauss-pairs")
+    p.add_argument("--dim", type=_number(int, 1), default=2, help="dimension for gauss-pairs")
     p.add_argument("--shift", type=str, default=None,
                    help="comma-separated shift vector for gauss-pairs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -333,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="simulate trajectories from a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="starting points: cloud CSV or pair CSV (x0 side)")
-    p.add_argument("--steps", type=_positive_int, default=100)
-    p.add_argument("--n-poses", type=_positive_int, default=1)
+    p.add_argument("--steps", type=_number(int, 1), default=100)
+    p.add_argument("--n-poses", type=_number(int, 1), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.add_argument("--endpoints-out", default=None,
@@ -348,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control", default=None)
     p.add_argument("--metrics", default="mmd,sinkhorn,rmsd,ps_l2",
                    help=f"comma-separated subset of: {', '.join(METRICS)}")
-    p.add_argument("--eps", type=_positive_float, default=0.1, help="sinkhorn regularization")
+    p.add_argument("--eps", type=_number(float, 0.0, strict=True), default=0.1,
+                   help="sinkhorn regularization")
     p.add_argument("--out", default=None, help="write the report to this file")
     p.add_argument("--csv-out", default=None, help="also write a one-row CSV")
     p.set_defaults(func=cmd_evaluate)

@@ -215,7 +215,13 @@ def _parse_numeric_rows(path, lines, n_cols, first_line_no) -> np.ndarray:
         except ValueError:
             bad = next(p for p in parts if not _is_float(p))
             raise DataError(f"{path}:{ln_no}: non-numeric cell {bad!r}") from None
-    return np.asarray(rows, dtype=float)
+    values = np.asarray(rows, dtype=float)
+    non_finite = np.argwhere(~np.isfinite(values))
+    if len(non_finite):
+        row, col = non_finite[0]
+        cell = lines[row].split(",")[col]
+        raise DataError(f"{path}:{first_line_no + row}: non-finite cell {cell!r}")
+    return values
 
 
 def _is_float(s: str) -> bool:

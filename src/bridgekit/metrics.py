@@ -3,6 +3,19 @@
 All functions are deterministic (no RNG): multi-scale unbiased MMD with RBF
 kernels, entropy-regularized transport cost via log-domain Sinkhorn, RMSD over
 index-aligned rows, and the mean-shift (perturbation-signature) distance.
+
+MMD works on square tiles of about 256 rows held in two reused buffers, so its
+memory does not grow with the cloud sizes. Within-sample sums evaluate only
+the tiles on and above the diagonal. Each cloud is sorted along its first
+coordinate first, so that a tile holds nearby points, and a (tile, scale) pair
+whose every kernel value underflows to exactly 0.0 is skipped; the skip
+changes no value.
+
+Sinkhorn keeps two n x m buffers (the scaled cost -C/eps and a scratch) and
+allocates nothing n x m inside a sweep. Its stop test needs no plan: after a
+g-update the columns are feasible, and the row violation follows from the
+next f-update, which the next sweep needs anyway. The plan is formed once,
+from the pair of potentials the stop test accepted.
 """
 
 from __future__ import annotations
@@ -13,12 +26,18 @@ import numpy as np
 
 DEFAULT_MMD_SCALES = (2.0, 1.0, 0.5, 0.1, 0.01, 0.005)
 
-_MMD_CHUNK = 2000
+# Rows per side of an MMD tile: two 256 x 256 float64 buffers (1 MB) stay in
+# cache while each scale makes one pass over them.
+_TILE = 256
+
+# exp(-v) rounds to exactly 0.0 for every double v > 745.14, so a tile whose
+# smallest d^2 / (2 s^2) exceeds this adds exactly nothing at scale s.
+_EXP_UNDERFLOW = 745.2
 
 
 def _as_cloud(x, name: str) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.ndim != 2 or x.shape[0] < 1:
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError(f"{name} must be a nonempty (n, d) array")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite values")
@@ -35,14 +54,38 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel_sums(a: np.ndarray, b: np.ndarray, scales) -> np.ndarray:
-    """Total sum of exp(-d^2 / (2 s^2)) over all (i, j), one value per scale."""
+    """Total sum of exp(-d^2 / (2 s^2)) over all (i, j), one value per scale.
+
+    When ``b is a`` only tiles on and above the diagonal are evaluated, and
+    each off-diagonal tile counts twice.
+    """
+    symmetric = b is a
     sums = np.zeros(len(scales))
-    for lo in range(0, len(a), _MMD_CHUNK):
-        a_chunk = a[lo : lo + _MMD_CHUNK]
-        for lo2 in range(0, len(b), _MMD_CHUNK):
-            d2 = _sq_dists(a_chunk, b[lo2 : lo2 + _MMD_CHUNK])
-            for si, s in enumerate(scales):
-                sums[si] += np.sum(np.exp(-d2 / (2.0 * s * s)))
+    two_s2 = [2.0 * s * s for s in scales]
+    a_norm = np.sum(a * a, axis=1)
+    b_norm = a_norm if symmetric else np.sum(b * b, axis=1)
+    d2_buf = np.empty((_TILE, _TILE))
+    k_buf = np.empty((_TILE, _TILE))
+    for lo in range(0, len(a), _TILE):
+        a_tile = a[lo : lo + _TILE]
+        for lo2 in range(lo if symmetric else 0, len(b), _TILE):
+            b_tile = b[lo2 : lo2 + _TILE]
+            d2 = d2_buf[: len(a_tile), : len(b_tile)]
+            k = k_buf[: len(a_tile), : len(b_tile)]
+            # d^2 = |a|^2 + |b|^2 - 2 a.b, clamped at 0 against cancellation.
+            np.matmul(a_tile, b_tile.T, out=k)
+            k *= 2.0
+            np.add(a_norm[lo : lo + _TILE, None], b_norm[None, lo2 : lo2 + _TILE], out=d2)
+            d2 -= k
+            np.maximum(d2, 0.0, out=d2)
+            d2_min = float(d2.min())
+            weight = 2.0 if symmetric and lo2 != lo else 1.0
+            for si, t in enumerate(two_s2):
+                if d2_min / t > _EXP_UNDERFLOW:
+                    continue
+                np.divide(d2, -t, out=k)
+                np.exp(k, out=k)
+                sums[si] += weight * float(k.sum())
     return sums
 
 
@@ -63,6 +106,10 @@ def mmd(x, y, scales=DEFAULT_MMD_SCALES) -> float:
     # Canonical operand order makes mmd(x, y) == mmd(y, x) bit-exactly.
     if (m, y.tobytes()) < (n, x.tobytes()):
         x, y, n, m = y, x, m, n
+    # Sorting along the first axis makes tiles local in space, so that tiles
+    # of far-apart points underflow at small scales and are skipped.
+    x = x[np.argsort(x[:, 0], kind="stable")]
+    y = y[np.argsort(y[:, 0], kind="stable")]
     scales = tuple(float(s) for s in scales)
     s_xx = _kernel_sums(x, x, scales)
     s_yy = _kernel_sums(y, y, scales)
@@ -101,8 +148,8 @@ def sinkhorn_w(
     essential for convergence when eps is far below the cost scale); the
     annealing sweeps count toward ``max_iters``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:  # also false for NaN
+        raise ValueError("eps must be positive and finite")
     x = _as_cloud(x, "x")
     y = _as_cloud(y, "y")
     if x.shape[1] != y.shape[1]:
@@ -113,24 +160,18 @@ def sinkhorn_w(
     log_a = np.log(a)
     log_b = np.log(b)
     cost = _sq_dists(x, y)
+    scaled = np.empty_like(cost)  # -cost / e for the current e
+    work = np.empty_like(cost)
 
-    def sweep(f, g, e):
-        # f-update makes rows feasible, the g-update then fixes columns.
-        f = -e * _logsumexp((g[None, :] - cost) / e + log_b[None, :], axis=1)
-        g = -e * _logsumexp((f[:, None] - cost) / e + log_a[:, None], axis=0)
-        return f, g
-
-    def plan_of(f, g):
-        log_plan = (f[:, None] + g[None, :] - cost) / eps + log_a[:, None] + log_b[None, :]
-        # Feasible plans have log entries <= 0; the clamp only tames the
-        # overflow of far-from-converged iterates (reported as such).
-        return np.exp(np.minimum(log_plan, 50.0))
-
-    def violation_of(plan):
-        return max(
-            float(np.abs(plan.sum(axis=1) - a).sum()),
-            float(np.abs(plan.sum(axis=0) - b).sum()),
-        )
+    def half_sweep(shift, axis, e):
+        # -e log sum exp(-C / e + shift) along ``axis``, stabilised by its max;
+        # with shift = g / e + log b this is the f-update that makes rows sum
+        # to a, with shift = f / e + log a the g-update for the columns.
+        np.add(scaled, shift, out=work)
+        top = work.max(axis=axis, keepdims=True)
+        np.subtract(work, top, out=work)
+        np.exp(work, out=work)
+        return -e * (top + np.log(work.sum(axis=axis, keepdims=True))).ravel()
 
     f = np.zeros(n)
     g = np.zeros(m)
@@ -139,38 +180,50 @@ def sinkhorn_w(
     if warm_start and cost_scale > 0 and eps < cost_scale / 4:
         e = cost_scale / 4
         while e > eps and it < max_iters:
+            np.divide(cost, -e, out=scaled)
             for _ in range(10):
                 if it >= max_iters:
                     break
-                f, g = sweep(f, g, e)
+                f = half_sweep(g / e + log_b, 1, e)
+                g = half_sweep((f / e + log_a)[:, None], 0, e)
                 it += 1
             e = max(eps, e / 2)
 
-    violation = np.inf
+    violation = None
     converged = False
-    while it < max_iters:
-        f, g = sweep(f, g, eps)
-        it += 1
-        violation = violation_of(plan_of(f, g))
-        if violation < tol:
-            converged = True
-            break
-    plan = plan_of(f, g)
-    if violation is np.inf:
-        violation = violation_of(plan)
+    np.divide(cost, -eps, out=scaled)
+    if it < max_iters:
+        f_next = half_sweep(g / eps + log_b, 1, eps)
+        while it < max_iters:
+            f = f_next
+            g = half_sweep((f / eps + log_a)[:, None], 0, eps)
+            it += 1
+            # Columns are now feasible; row i of the plan sums to
+            # a_i exp((f_i - f'_i) / eps), with f' the next f-update.
+            f_next = half_sweep(g / eps + log_b, 1, eps)
+            violation = float(np.sum(a * np.abs(1.0 - np.exp((f - f_next) / eps))))
+            if violation < tol:
+                converged = True
+                break
+    # The plan in the log domain; feasible plans have log entries <= 0, and the
+    # clamp only tames the overflow of far-from-converged iterates.
+    plan = np.add(scaled, (f / eps + log_a)[:, None], out=work)
+    plan += g / eps + log_b
+    np.minimum(plan, 50.0, out=plan)
+    np.exp(plan, out=plan)
+    if violation is None:
+        violation = max(
+            float(np.abs(plan.sum(axis=1) - a).sum()),
+            float(np.abs(plan.sum(axis=0) - b).sum()),
+        )
+    np.multiply(plan, cost, out=scaled)
     return SinkhornResult(
-        value=float(np.sum(plan * cost)),
+        value=float(scaled.sum()),
         plan=plan,
         n_iters=it,
         marginal_violation=violation,
         converged=converged,
     )
-
-
-def _logsumexp(z: np.ndarray, axis: int) -> np.ndarray:
-    zmax = np.max(z, axis=axis, keepdims=True)
-    out = zmax + np.log(np.sum(np.exp(z - zmax), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
 
 
 # ---------------------------------------------------------------------------

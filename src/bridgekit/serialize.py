@@ -80,9 +80,9 @@ def save_model(
         fh.write(body + digest)
 
 
-def _take(buf: bytes, pos: int, n: int, what: str) -> tuple[bytes, int]:
+def _take(path, buf: bytes, pos: int, n: int, what: str) -> tuple[bytes, int]:
     if pos + n > len(buf):
-        raise ModelFormatError(f"truncated model file while reading {what}")
+        raise ModelFormatError(f"{path}: truncated model file while reading {what}")
     return buf[pos : pos + n], pos + n
 
 
@@ -90,16 +90,16 @@ def load_model(path) -> LoadedModel:
     with open(path, "rb") as fh:
         buf = fh.read()
     pos = 0
-    magic, pos = _take(buf, pos, len(MAGIC), "magic")
+    magic, pos = _take(path, buf, pos, len(MAGIC), "magic")
     if magic != MAGIC:
         raise ModelFormatError(f"{path}: not a bridgekit model file")
-    raw, pos = _take(buf, pos, 8, "version header")
+    raw, pos = _take(path, buf, pos, 8, "version header")
     version, header_len = struct.unpack("<II", raw)
     if version != FORMAT_VERSION:
         raise VersionError(
             f"{path}: unsupported model format version {version} (supported: {FORMAT_VERSION})"
         )
-    header_bytes, pos = _take(buf, pos, header_len, "header")
+    header_bytes, pos = _take(path, buf, pos, header_len, "header")
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -121,8 +121,9 @@ def load_model(path) -> LoadedModel:
     if header.get("layer_table") != _layer_table(nets):
         raise ModelFormatError(f"{path}: layer table does not match the network specs")
 
-    payload, pos = _take(buf, pos, sum(8 * net.theta.size for net in nets), "parameter payload")
-    digest, pos = _take(buf, pos, 32, "checksum")
+    n_bytes = sum(8 * net.theta.size for net in nets)
+    payload, pos = _take(path, buf, pos, n_bytes, "parameter payload")
+    digest, pos = _take(path, buf, pos, 32, "checksum")
     if pos != len(buf):
         raise ModelFormatError(f"{path}: {len(buf) - pos} trailing bytes after checksum")
     if hashlib.sha256(buf[:-32]).digest() != digest:

@@ -11,6 +11,7 @@ inference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
@@ -42,24 +43,26 @@ class TrainConfig:
     eval_every: int = 200
 
     def __post_init__(self):
+        # The float checks are written so that NaN fails them.
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.n_iters < 0:
             raise ConfigError("n_iters must be >= 0")
-        if self.lr_drift <= 0 or self.lr_doob <= 0:
-            raise ConfigError("learning rates must be positive")
+        for key in ("lr_drift", "lr_doob", "g"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be positive and finite")
         if self.lambda_mode not in LAMBDA_MODES:
             raise ConfigError(f"lambda_mode must be one of {LAMBDA_MODES}")
-        if self.lambda_value < 0:
-            raise ConfigError("lambda_value must be >= 0")
+        if not 0.0 <= self.lambda_value < math.inf:
+            raise ConfigError("lambda_value must be >= 0 and finite")
         if not 0.0 < self.t_clip < 1.0:
             raise ConfigError("t_clip must lie in (0, 1)")
         if self.times_per_pair < 1:
             raise ConfigError("times_per_pair must be >= 1")
-        if self.g <= 0:
-            raise ConfigError("g must be positive")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ConfigError("ema_decay must lie in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
 
@@ -115,7 +118,10 @@ def parse_config(text: str, source: str = "<config>") -> TrainConfig:
     missing = [k for k in _CONFIG_TYPES if k not in values]
     if missing:
         raise ConfigError(f"{source}: missing required config key(s): {', '.join(missing)}")
-    return TrainConfig(**values)
+    try:
+        return TrainConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def format_config(config: TrainConfig) -> str:

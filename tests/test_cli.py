@@ -64,8 +64,14 @@ def test_generate_rejects_unknown_dataset(tmp_path, capsys):
     ["evaluate", "--pred", "p.csv", "--ref", "r.csv", "--metrics", "sinkhorn", "--eps", "-1"],
     ["evaluate", "--pred", "p.csv", "--ref", "r.csv", "--metrics", "sinkhorn", "--eps", "0"],
     ["evaluate", "--pred", "p.csv", "--ref", "r.csv", "--metrics", "sinkhorn", "--eps", "nan"],
+    ["generate", "--dataset", "moon", "--n", "10", "--seed", "-1", "--out", "g.csv"],
+    ["generate", "--dataset", "moon", "--n", "10", "--noise-std", "-1", "--out", "g.csv"],
+    ["generate", "--dataset", "t", "--n", "10", "--noise-std", "nan", "--out", "g.csv"],
+    ["generate", "--dataset", "moon", "--n", "10", "--noise-std", "inf", "--out", "g.csv"],
 ], ids=["sample-steps-0", "sample-n-poses-negative", "generate-n-0", "generate-bad-shift",
-        "evaluate-eps-negative", "evaluate-eps-zero", "evaluate-eps-nan"])
+        "evaluate-eps-negative", "evaluate-eps-zero", "evaluate-eps-nan",
+        "generate-seed-negative", "generate-noise-std-negative", "generate-noise-std-nan",
+        "generate-noise-std-inf"])
 def test_bad_arguments_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     try:
@@ -216,6 +222,16 @@ def test_evaluate_gauss_shift_mean_distance(tmp_path, capsys):
     ) == 0
     value = float(capsys.readouterr().out.strip().split(" = ")[1])
     assert abs(value - 5.0) < 4 / np.sqrt(n)
+
+
+def test_evaluate_non_finite_cloud_is_a_data_error(tmp_path, capsys):
+    cloud = tmp_path / "c.csv"
+    cloud.write_text("x_0\n1\ninf\n3\n")
+    assert run_cli("evaluate", "--pred", cloud, "--ref", cloud, "--metrics", "mmd") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert f"{cloud}:3" in err
 
 
 def test_evaluate_pair_file_without_side_is_explained(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,18 @@ def test_non_numeric_cell_reports_line_number(tmp_path):
     path.write_text("x0_0,x1_0\n1,2\n3,zap\n")
     with pytest.raises(DataError, match=r":3.*zap"):
         read_pairs(path)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+@pytest.mark.parametrize("reader, text", [
+    (read_cloud, "x_0,x_1\n1,2\n3,{}\n5,6\n"),
+    (read_pairs, "x0_0,x1_0\n1,2\n3,{}\n5,6\n"),
+], ids=["cloud", "pairs"])
+def test_non_finite_cell_reports_line_number(tmp_path, reader, text, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(text.format(cell))
+    with pytest.raises(DataError, match=rf"bad\.csv:3: non-finite cell '{re.escape(cell)}'"):
+        reader(path)
 
 
 def test_cloud_round_trip(tmp_path):

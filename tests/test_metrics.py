@@ -71,6 +71,84 @@ def test_mmd_needs_two_points_per_side():
         mmd(np.zeros((1, 2)), np.zeros((5, 2)))
 
 
+def test_mmd_rejects_zero_dimensional_clouds():
+    with pytest.raises(ValueError, match="nonempty"):
+        mmd(np.zeros((3, 0)), np.zeros((4, 0)))
+
+
+def cdist_mmd(x, y, scales):
+    """The unbiased estimator from scipy's direct squared distances."""
+    from scipy.spatial.distance import cdist
+
+    def kernel_sums(a, b):
+        d2 = cdist(a, b, "sqeuclidean")
+        return np.array([np.exp(-d2 / (2.0 * s * s)).sum() for s in scales])
+
+    n, m = len(x), len(y)
+    within_x = (kernel_sums(x, x) - n) / (n * (n - 1))
+    within_y = (kernel_sums(y, y) - m) / (m * (m - 1))
+    return float(np.mean(within_x + within_y - 2.0 * kernel_sums(x, y) / (n * m)))
+
+
+def multi_tile_clouds():
+    """Unsorted clouds spanning several 256-row tiles, n != m."""
+    rng = np.random.default_rng(21)
+    yield rng.normal(size=(600, 1)), rng.normal(size=(300, 1)) + 0.2
+    yield rng.normal(size=(300, 3)), 1.2 * rng.normal(size=(700, 3)) + 0.3
+    yield rng.normal(size=(513, 2)), rng.normal(size=(257, 2))
+    # Spread out in 1-D: at the small scales most tiles underflow and are skipped.
+    yield rng.uniform(-10, 10, size=(1000, 1)), rng.uniform(-10, 10, size=(900, 1))
+
+
+def test_mmd_matches_cdist_reference_on_multi_tile_clouds():
+    for x, y in multi_tile_clouds():
+        assert mmd(x, y) == pytest.approx(cdist_mmd(x, y, DEFAULT_MMD_SCALES), abs=1e-12)
+
+
+def test_mmd_underflow_skip_is_exact(monkeypatch):
+    import bridgekit.metrics as metrics
+
+    calls = []
+    real_exp = np.exp
+
+    def counting_exp(*args, **kwargs):
+        calls.append(1)
+        return real_exp(*args, **kwargs)
+
+    rng = np.random.default_rng(22)
+    x, y = rng.uniform(-10, 10, size=(1000, 1)), rng.uniform(-10, 10, size=(900, 1))
+    monkeypatch.setattr(metrics.np, "exp", counting_exp)
+    skipped = mmd(x, y)
+    n_skipped = len(calls)
+    calls.clear()
+    monkeypatch.setattr(metrics, "_EXP_UNDERFLOW", math.inf)
+    full = mmd(x, y)
+    assert n_skipped < len(calls)
+    assert skipped == full
+
+
+def test_mmd_symmetry_exact_on_multi_tile_clouds():
+    for x, y in multi_tile_clouds():
+        assert mmd(x, y) == mmd(y, x)
+    rng = np.random.default_rng(23)
+    x, y = rng.normal(size=(520, 2)), rng.normal(size=(520, 2))
+    assert mmd(x, y) == mmd(y, x)
+
+
+def test_mmd_memory_does_not_grow_with_cloud_size():
+    import tracemalloc
+
+    rng = np.random.default_rng(24)
+    x, y = rng.normal(size=(3000, 2)), rng.normal(size=(3000, 2)) + 0.1
+    tracemalloc.start()
+    try:
+        mmd(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 # ---------------------------------------------------------------------------
 # Sinkhorn
 # ---------------------------------------------------------------------------
@@ -173,9 +251,86 @@ def test_sinkhorn_non_convergence_flag():
     assert result.n_iters == 3
 
 
+def reference_sinkhorn(x, y, eps=0.1, max_iters=5000, tol=1e-6, warm_start=True):
+    """The earlier sweep loop: a full plan after every fixed-eps sweep for the
+    stop test. Returns (value, n_iters, marginal_violation)."""
+    n, m = len(x), len(y)
+    a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    log_a, log_b = np.log(a), np.log(b)
+    cost = np.maximum(
+        np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :] - 2.0 * (x @ y.T), 0.0
+    )
+
+    def lse(z, axis):
+        zmax = np.max(z, axis=axis, keepdims=True)
+        out = zmax + np.log(np.sum(np.exp(z - zmax), axis=axis, keepdims=True))
+        return np.squeeze(out, axis=axis)
+
+    def sweep(f, g, e):
+        f = -e * lse((g[None, :] - cost) / e + log_b[None, :], axis=1)
+        g = -e * lse((f[:, None] - cost) / e + log_a[:, None], axis=0)
+        return f, g
+
+    def plan_of(f, g):
+        log_plan = (f[:, None] + g[None, :] - cost) / eps + log_a[:, None] + log_b[None, :]
+        return np.exp(np.minimum(log_plan, 50.0))
+
+    def violation_of(plan):
+        return max(float(np.abs(plan.sum(axis=1) - a).sum()),
+                   float(np.abs(plan.sum(axis=0) - b).sum()))
+
+    f, g, it = np.zeros(n), np.zeros(m), 0
+    cost_scale = float(np.max(cost))
+    if warm_start and cost_scale > 0 and eps < cost_scale / 4:
+        e = cost_scale / 4
+        while e > eps and it < max_iters:
+            for _ in range(10):
+                if it >= max_iters:
+                    break
+                f, g = sweep(f, g, e)
+                it += 1
+            e = max(eps, e / 2)
+    violation = np.inf
+    while it < max_iters:
+        f, g = sweep(f, g, eps)
+        it += 1
+        violation = violation_of(plan_of(f, g))
+        if violation < tol:
+            break
+    plan = plan_of(f, g)
+    return float(np.sum(plan * cost)), it, violation
+
+
+@pytest.mark.parametrize("n, m, d, eps, warm_start", [
+    (60, 80, 2, 0.1, True),
+    (120, 100, 3, 0.1, True),
+    (90, 40, 1, 0.2, False),
+    (200, 150, 2, 0.02, True),
+])
+def test_sinkhorn_matches_reference_sweep_loop(n, m, d, eps, warm_start):
+    rng = np.random.default_rng(n + m + d)
+    x = rng.normal(size=(n, d))
+    y = 0.8 * rng.normal(size=(m, d)) + 0.5
+    result = sinkhorn_w(x, y, eps=eps, warm_start=warm_start)
+    value, n_iters, _ = reference_sinkhorn(x, y, eps=eps, warm_start=warm_start)
+    assert result.converged
+    assert abs(result.n_iters - n_iters) <= 1
+    assert result.value == pytest.approx(value, rel=1e-12)
+    plan = result.plan
+    recomputed = max(float(np.abs(plan.sum(axis=1) - 1.0 / n).sum()),
+                     float(np.abs(plan.sum(axis=0) - 1.0 / m).sum()))
+    assert result.marginal_violation == pytest.approx(recomputed, abs=1e-12)
+
+
 def test_sinkhorn_rejects_bad_eps():
     with pytest.raises(ValueError):
         sinkhorn_w(np.zeros((2, 1)), np.zeros((2, 1)), eps=0.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_sinkhorn_rejects_non_finite_eps(eps):
+    with pytest.raises(ValueError, match="eps"):
+        sinkhorn_w(np.zeros((3, 1)), np.ones((4, 1)), eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,16 @@ def test_truncated_file_is_reported(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("n_bytes, what", [
+    (0, "magic"), (10, "version header"), (2000, "parameter payload"), (-1, "checksum"),
+])
+def test_truncated_file_names_the_file(tmp_path, n_bytes, what):
+    path = tmp_path / "trunc.bkt"
+    path.write_bytes(V1_PAIR.read_bytes()[:n_bytes])
+    with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(path))}: truncated .* {what}$"):
+        load_model(path)
+
+
 def test_not_a_model_file(tmp_path):
     path = tmp_path / "nope.bkt"
     path.write_bytes(b"definitely not a model" * 10)

@@ -327,3 +327,21 @@ def test_config_validation_bounds():
         TrainConfig(lambda_mode="quadratic")
     with pytest.raises(ConfigError):
         TrainConfig(g=-1.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("g", float("nan")),
+    ("g", float("inf")),
+    ("lr_drift", float("nan")),
+    ("lr_doob", float("nan")),
+    ("lr_doob", 0.0),
+    ("lambda_value", float("nan")),
+    ("lambda_value", float("inf")),
+    ("seed", -1),
+])
+def test_config_rejects_nan_and_negative_seed_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        TrainConfig(**{key: value})
+    text = full_config_text().replace(f"\n{key} = ", f"\n{key} = {value}  # ")
+    with pytest.raises(ConfigError, match=rf"^<config>: {key} "):
+        parse_config(text)
