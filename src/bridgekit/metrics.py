@@ -199,9 +199,12 @@ def sinkhorn_w(
             g = half_sweep((f / eps + log_a)[:, None], 0, eps)
             it += 1
             # Columns are now feasible; row i of the plan sums to
-            # a_i exp((f_i - f'_i) / eps), with f' the next f-update.
+            # a_i exp((f_i - f'_i) / eps), with f' the next f-update. That is
+            # at most 1, but rounding in f / eps can push the exponent far
+            # past log n when eps is tiny, so it is clamped like the plan's.
             f_next = half_sweep(g / eps + log_b, 1, eps)
-            violation = float(np.sum(a * np.abs(1.0 - np.exp((f - f_next) / eps))))
+            row_excess = np.minimum((f - f_next) / eps, 50.0)
+            violation = float(np.sum(a * np.abs(1.0 - np.exp(row_excess))))
             if violation < tol:
                 converged = True
                 break

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,20 @@ def test_sinkhorn_non_convergence_flag():
     result = sinkhorn_w(x, y, eps=1e-4, max_iters=3, tol=1e-12)
     assert not result.converged
     assert result.n_iters == 3
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_sinkhorn_tiny_eps_without_warm_start_stays_finite_and_quiet(seed):
+    # Costs near 1e8 with eps 1e-12: rounding in f / eps alone moves the stop
+    # test's exponent by far more than 709, which overflowed exp unclamped.
+    rng = np.random.default_rng(seed)
+    x = 1e4 * rng.standard_normal((40, 2))
+    y = 1e4 * rng.standard_normal((30, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sinkhorn_w(x, y, eps=1e-12, warm_start=False, max_iters=5)
+    assert math.isfinite(result.marginal_violation)
+    assert np.all(np.isfinite(result.plan))
 
 
 def reference_sinkhorn(x, y, eps=0.1, max_iters=5000, tol=1e-6, warm_start=True):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgekit import DiffusivitySchedule
@@ -43,15 +43,8 @@ def test_beta_zero_at_origin():
 @given(
     g_values=st.lists(st.floats(0.05, 10.0), min_size=1, max_size=4),
     raw_bps=st.lists(st.floats(0.05, 0.95), min_size=0, max_size=3, unique=True),
-    # Normal floats only: below the smallest normal the spacing of doubles
-    # exceeds g^2 * t for g < 1 (0.25 * 5e-324 rounds to 0), so no float
-    # implementation of the integral can be strictly increasing there.
-    t_pair=st.tuples(
-        st.floats(0.0, 1.0, allow_subnormal=False),
-        st.floats(0.0, 1.0, allow_subnormal=False),
-    ),
+    t_pair=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
 )
-@example(g_values=[0.05], raw_bps=[], t_pair=(0.0, 2.2250738585072014e-308))
 @settings(max_examples=200, deadline=None)
 def test_beta_strictly_increasing(g_values, raw_bps, t_pair):
     bps = tuple(sorted(raw_bps))[: len(g_values) - 1]
