@@ -9,18 +9,17 @@ cost, RMSD, mean-shift distance) quantify distributional and alignment
 quality.
 """
 
-__version__ = "0.1.2"
+__version__ = "0.1.3"
 
-from .datasets import (
-    AlignedDataset,
-    generate_gauss_pairs,
-    generate_moon,
-    generate_t,
+from .csvio import (
     read_cloud,
     read_pairs,
+    read_trajectories,
     write_cloud,
     write_pairs,
+    write_trajectories,
 )
+from .datasets import AlignedDataset, generate_gauss_pairs, generate_moon, generate_t
 from .metrics import DEFAULT_MMD_SCALES, SinkhornResult, mmd, ps_l2, rmsd, sinkhorn_w
 from .nets import DoobNet, DriftNet, MlpSpec, time_embed
 from .optim import AdamW, EmaTracker
@@ -33,10 +32,8 @@ from .sde import (
     bridge_marginal_moments,
     bridge_marginal_sample,
     estimate_h_mc,
-    read_trajectories,
     simulate_conditioned,
     simulate_sde,
-    write_trajectories,
 )
 from .serialize import LoadedModel, load_model, save_model
 from .training import (

@@ -29,20 +29,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datasets import (
-    AlignedDataset,
-    generate_gauss_pairs,
-    generate_moon,
-    generate_t,
+from .csvio import (
+    is_pair_file,
     read_cloud,
     read_pairs,
+    read_trajectories,
     write_cloud,
+    write_csv,
     write_pairs,
+    write_trajectories,
 )
+from .datasets import generate_gauss_pairs, generate_moon, generate_t
 from .errors import BridgekitError, DataError, NumericsError, UsageError
 from .metrics import mmd, ps_l2, rmsd, sinkhorn_w
 from .plotting import write_svg
-from .sde import TimeGrid, read_trajectories, simulate_sde, write_trajectories
+from .sde import TimeGrid, simulate_sde
 from .serialize import load_model
 from .training import export_drift, read_config, save_train_result, train, write_loss_trace
 
@@ -81,7 +82,9 @@ def _write_manifest(anchor_path, command: str, config: dict, seed, inputs: list,
 def cmd_generate(args) -> int:
     started = time.monotonic()
     rng = np.random.default_rng(args.seed)
-    try:  # bad --shift numbers, and pair counts or shift lengths a generator rejects
+    # Bad --shift numbers, pair counts or shift lengths a generator rejects, and
+    # a --dim too large to allocate.
+    try:
         if args.dataset == "moon":
             noise = 0.05 if args.noise_std is None else args.noise_std
             ds = generate_moon(args.n, noise_std=noise, rng=rng)
@@ -93,7 +96,7 @@ def cmd_generate(args) -> int:
             if args.shift is not None:
                 shift = np.array([float(v) for v in args.shift.split(",")])
             ds = generate_gauss_pairs(args.n, d=args.dim, shift=shift, rng=rng)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise UsageError(f"generate --dataset {args.dataset}: {exc}") from None
     write_pairs(args.out, ds)
     _write_manifest(
@@ -132,11 +135,7 @@ def cmd_train(args) -> int:
 
 def _load_x0(path) -> np.ndarray:
     """Starting points from either a point-cloud CSV or the x0 side of pairs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-    if header.startswith("x0_"):
-        return read_pairs(path).x0
-    return read_cloud(path)
+    return read_pairs(path).x0 if is_pair_file(path) else read_cloud(path)
 
 
 def cmd_sample(args) -> int:
@@ -175,9 +174,7 @@ def _load_cloud_arg(spec: str, what: str) -> np.ndarray:
     if sep and side in ("x0", "x1") and Path(path).exists():
         ds = read_pairs(path)
         return ds.x0 if side == "x0" else ds.x1
-    with open(spec, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-    if header.startswith("x0_"):
+    if is_pair_file(spec):
         raise DataError(
             f"{what}: {spec} is a pair file; append ':x0' or ':x1' to select a side"
         )
@@ -188,13 +185,12 @@ def cmd_evaluate(args) -> int:
     started = time.monotonic()
     pred = _load_cloud_arg(args.pred, "--pred")
     ref = _load_cloud_arg(args.ref, "--ref")
-    control = _load_cloud_arg(args.control, "--control") if args.control else None
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     for name in names:
         if name not in METRICS:
             raise DataError(f"unknown metric {name!r}; valid metrics: {', '.join(METRICS)}")
 
-    lines = []
+    lines, values = [], []
     for name in names:
         if name == "mmd":
             value = mmd(pred, ref)
@@ -219,8 +215,9 @@ def cmd_evaluate(args) -> int:
                 raise DataError(
                     f"ps_l2 needs equal dimensions; got {pred.shape[1]} vs {ref.shape[1]}"
                 )
-            value = ps_l2(pred, ref, control)
+            value = ps_l2(pred, ref)
         lines.append(f"{name} = {value:.17g}")
+        values.append(value)
 
     report = "\n".join(lines) + "\n"
     print(report, end="")
@@ -228,9 +225,7 @@ def cmd_evaluate(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report)
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(names) + "\n")
-            fh.write(",".join(ln.split(" = ")[1] for ln in lines) + "\n")
+        write_csv(args.csv_out, names, np.array([values], dtype=float))
     anchor = args.out or args.csv_out
     if anchor:  # stdout-only runs produce no files for a manifest to sit next to
         def strip_side(spec):
@@ -238,9 +233,8 @@ def cmd_evaluate(args) -> int:
 
         _write_manifest(
             anchor, "evaluate",
-            {"pred": args.pred, "ref": args.ref, "control": args.control,
-             "metrics": names, "eps": args.eps, "out": args.out,
-             "csv_out": args.csv_out},
+            {"pred": args.pred, "ref": args.ref, "metrics": names, "eps": args.eps,
+             "out": args.out, "csv_out": args.csv_out},
             None, [strip_side(args.pred), strip_side(args.ref)],
             started,
         )
@@ -342,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True,
                    help="cloud CSV, or pair CSV with ':x0'/':x1' side selector")
     p.add_argument("--ref", required=True)
-    p.add_argument("--control", default=None)
     p.add_argument("--metrics", default="mmd,sinkhorn,rmsd,ps_l2",
                    help=f"comma-separated subset of: {', '.join(METRICS)}")
     p.add_argument("--eps", type=_number(float, 0.0, strict=True), default=0.1,
@@ -375,10 +368,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (DataError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except BridgekitError as exc:

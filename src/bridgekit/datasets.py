@@ -1,4 +1,4 @@
-"""Aligned-pair datasets: synthetic generators and CSV I/O.
+"""Aligned-pair datasets and their synthetic generators.
 
 An aligned dataset is a list of pairs (x0_i, x1_i) drawn jointly: row i of the
 two sides belongs to the same underlying sample, and generators never shuffle
@@ -137,96 +137,3 @@ def generate_gauss_pairs(
         raise ValueError(f"shift must have shape ({d},), got {shift.shape}")
     x0 = rng.standard_normal((n_pairs, d))
     return AlignedDataset(x0=x0, x1=x0 + shift)
-
-
-# ---------------------------------------------------------------------------
-# CSV I/O
-# ---------------------------------------------------------------------------
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
-def write_pairs(path, dataset: AlignedDataset) -> None:
-    d = dataset.d
-    header = ",".join([f"x0_{j}" for j in range(d)] + [f"x1_{j}" for j in range(d)])
-    lines = [header]
-    for a, b in zip(dataset.x0, dataset.x1):
-        lines.append(",".join([_fmt(v) for v in a] + [_fmt(v) for v in b]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_pairs(path) -> AlignedDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty pair file")
-    cols = lines[0].split(",")
-    if len(cols) % 2 != 0:
-        raise DataError(
-            f"{path}:1: header has {len(cols)} columns; pair files need an even count "
-            "(the dimension must split evenly between x0_* and x1_*)"
-        )
-    d = len(cols) // 2
-    expected = [f"x0_{j}" for j in range(d)] + [f"x1_{j}" for j in range(d)]
-    if cols != expected:
-        raise DataError(f"{path}:1: malformed pair header {lines[0]!r}")
-    if len(lines) == 1:
-        raise DataError(f"{path}: no data rows")
-    rows = _parse_numeric_rows(path, lines[1:], len(cols), first_line_no=2)
-    return AlignedDataset(x0=rows[:, :d], x1=rows[:, d:])
-
-
-def write_cloud(path, points: np.ndarray) -> None:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    header = ",".join(f"x_{j}" for j in range(points.shape[1]))
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in points]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_cloud(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in (raw.rstrip("\n") for raw in fh) if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty point file")
-    cols = lines[0].split(",")
-    if not all(c == f"x_{j}" for j, c in enumerate(cols)):
-        raise DataError(
-            f"{path}:1: malformed point header {lines[0]!r} (expected x_0,...,x_{{d-1}})"
-        )
-    if len(lines) == 1:
-        raise DataError(f"{path}: no data rows")
-    return _parse_numeric_rows(path, lines[1:], len(cols), first_line_no=2)
-
-
-def _parse_numeric_rows(path, lines, n_cols, first_line_no) -> np.ndarray:
-    rows = []
-    for off, ln in enumerate(lines):
-        ln_no = first_line_no + off
-        parts = ln.split(",")
-        if len(parts) != n_cols:
-            raise DataError(f"{path}:{ln_no}: expected {n_cols} cells, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            bad = next(p for p in parts if not _is_float(p))
-            raise DataError(f"{path}:{ln_no}: non-numeric cell {bad!r}") from None
-    values = np.asarray(rows, dtype=float)
-    non_finite = np.argwhere(~np.isfinite(values))
-    if len(non_finite):
-        row, col = non_finite[0]
-        cell = lines[row].split(",")[col]
-        raise DataError(f"{path}:{first_line_no + row}: non-finite cell {cell!r}")
-    return values
-
-
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False

@@ -249,21 +249,14 @@ def rmsd(pred, ref) -> float:
     return float(np.sqrt(np.mean(np.sum((ref - pred) ** 2, axis=1))))
 
 
-def ps_l2(pred, ref, control=None) -> float:
+def ps_l2(pred, ref) -> float:
     """L2 distance between the mean shifts of ``pred`` and ``ref``.
 
-    The control population cancels in the difference of the two signatures, so
-    this equals ||mean(ref) - mean(pred)||; ``control`` is accepted for
-    interface fidelity and only checked for shape.
+    A control population would cancel in the difference of the two
+    signatures, so this is ||mean(ref) - mean(pred)||.
     """
     pred = _as_cloud(pred, "pred")
     ref = _as_cloud(ref, "ref")
     if pred.shape[1] != ref.shape[1]:
         raise ValueError(f"dimension mismatch: {pred.shape[1]} vs {ref.shape[1]}")
-    if control is not None:
-        control = _as_cloud(control, "control")
-        if control.shape[1] != pred.shape[1]:
-            raise ValueError(
-                f"control dimension {control.shape[1]} does not match {pred.shape[1]}"
-            )
     return float(np.linalg.norm(ref.mean(axis=0) - pred.mean(axis=0)))

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericsError
+from .errors import NumericsError
 
 # Refuse regression targets closer to the terminal singularity than this
 # fraction of beta(1).
@@ -39,9 +39,6 @@ SINGULARITY_GUARD = 1e-6
 # the batching; a network drift agrees across batchings only to rounding,
 # because BLAS matrix products are not row-invariant.
 _SIM_CHUNK = 4096
-
-# Trajectory CSV rows formatted per %-format call when writing.
-_WRITE_CHUNK = 1 << 14
 
 DriftFn = Callable[[float, np.ndarray], np.ndarray]
 
@@ -187,98 +184,6 @@ class TrajectoryBatch:
     @property
     def endpoints(self) -> np.ndarray:
         return self.states[:, -1, :]
-
-
-def write_trajectories(path, batch: TrajectoryBatch) -> None:
-    """Trajectory CSV: one row per (trajectory, step), 17 significant digits.
-
-    Rows are formatted and written in chunks, so memory stays bounded; the
-    bytes equal a per-cell ``format(v, ".17g")`` rendering.
-    """
-    per_traj, d = batch.n_steps + 1, batch.d
-    n_rows = batch.n_traj * per_traj
-    flat = batch.states.reshape(n_rows, d)
-    step_cells = [f"{k},{t:.17g}" for k, t in enumerate(batch.times.tolist())]
-    row_fmt = "%s" + ",%.17g" * d + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("traj_id,step,t," + ",".join(f"x_{j}" for j in range(d)) + "\n")
-        for lo in range(0, n_rows, _WRITE_CHUNK):
-            hi = min(lo + _WRITE_CHUNK, n_rows)
-            ids, steps = np.divmod(np.arange(lo, hi), per_traj)
-            block = np.empty((hi - lo, 1 + d), dtype=object)
-            block[:, 0] = [f"{i},{step_cells[k]}" for i, k in zip(ids.tolist(), steps.tolist())]
-            block[:, 1:] = flat[lo:hi]
-            fh.write((row_fmt * (hi - lo)) % tuple(block.ravel().tolist()))
-
-
-def read_trajectories(path) -> TrajectoryBatch:
-    """Read a trajectory CSV. Every (traj_id, step) pair of a full grid must
-    appear exactly once, and all rows of one step must carry the same t;
-    violations raise :class:`DataError` with a ``file:line`` location."""
-    with open(path, "r", encoding="utf-8") as fh:
-        numbered = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-    if not numbered:
-        raise DataError(f"{path}: empty trajectory file")
-    header_no, header = numbered[0]
-    cols = header.split(",")
-    if cols[:3] != ["traj_id", "step", "t"] or not all(
-        c == f"x_{j}" for j, c in enumerate(cols[3:])
-    ):
-        raise DataError(f"{path}:{header_no}: malformed trajectory header {header!r}")
-    d = len(cols) - 3
-    if d < 1:
-        raise DataError(f"{path}:{header_no}: trajectory header has no coordinate columns")
-    if len(numbered) == 1:  # header only: a valid, empty batch
-        return TrajectoryBatch(states=np.empty((0, 1, d)), times=np.zeros(1))
-    rows = []
-    for ln_no, ln in numbered[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(cols):
-            raise DataError(f"{path}:{ln_no}: expected {len(cols)} cells, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise DataError(f"{path}:{ln_no}: non-numeric cell ({exc})") from None
-    arr = np.asarray(rows)
-    line_of = [no for no, _ in numbered[1:]]
-    n_rows = len(arr)
-
-    def fail_at(r, message):
-        raise DataError(f"{path}:{line_of[r]}: {message}")
-
-    bad = np.flatnonzero(~np.all(np.isfinite(arr), axis=1))
-    if bad.size:
-        fail_at(bad[0], "non-finite cell")
-    # A full grid has ids and steps below the row count; larger ones leave gaps.
-    idx = arr[:, :2]
-    bad = np.flatnonzero(np.any((idx != np.floor(idx)) | (idx < 0) | (idx >= n_rows), axis=1))
-    if bad.size:
-        r = bad[0]
-        fail_at(r, f"traj_id and step must be integers in [0, {n_rows}), "
-                   f"got {idx[r, 0]:.17g}, {idx[r, 1]:.17g}")
-    ids, steps = idx.astype(np.int64).T
-    n_traj, n_times = int(ids.max()) + 1, int(steps.max()) + 1
-    key = ids * n_times + steps
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
-    if repeats.size:
-        r = repeats.min()
-        earlier = line_of[np.flatnonzero(key == key[r])[0]]
-        fail_at(r, f"duplicate row for trajectory {ids[r]} step {steps[r]} "
-                   f"(first at line {earlier})")
-    if n_rows != n_traj * n_times:
-        raise DataError(f"{path}: {n_traj * n_times - n_rows} missing trajectory rows "
-                        f"({n_traj} trajectories x {n_times} steps expected)")
-    _, first = np.unique(steps, return_index=True)  # first row of every step
-    times = arr[first, 2]
-    bad = np.flatnonzero(arr[:, 2] != times[steps])
-    if bad.size:
-        r = bad[0]
-        fail_at(r, f"t = {arr[r, 2]:.17g} at step {steps[r]} differs from "
-                   f"t = {times[steps[r]]:.17g} at line {line_of[first[steps[r]]]}")
-    states = np.empty((n_traj, n_times, d))
-    states[ids, steps] = arr[:, 3:]
-    return TrajectoryBatch(states=states, times=times)
 
 
 # ---------------------------------------------------------------------------

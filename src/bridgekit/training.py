@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .csvio import write_csv
 from .datasets import AlignedDataset
 from .errors import ConfigError, DataError, NumericsError
 from .nets import DoobNet, DriftNet, MlpSpec, make_doob_spec, make_drift_spec
@@ -305,13 +306,11 @@ def train(
 
 
 def write_loss_trace(path, trace: list[LossBreakdown]) -> None:
-    lines = ["iter,total,regression,regularization,mean_m_sq"]
-    for it, b in enumerate(trace):
-        lines.append(
-            f"{it},{b.total:.17g},{b.regression:.17g},{b.regularization:.17g},{b.mean_m_sq:.17g}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # %.17g prints an integer-valued float as the integer, so iter is one more value.
+    rows = [(it, b.total, b.regression, b.regularization, b.mean_m_sq)
+            for it, b in enumerate(trace)]
+    write_csv(path, ["iter", "total", "regression", "regularization", "mean_m_sq"],
+              np.array(rows, dtype=float).reshape(-1, 5))
 
 
 def save_train_result(path, result: TrainResult) -> None:

@@ -68,10 +68,11 @@ def test_generate_rejects_unknown_dataset(tmp_path, capsys):
     ["generate", "--dataset", "moon", "--n", "10", "--noise-std", "-1", "--out", "g.csv"],
     ["generate", "--dataset", "t", "--n", "10", "--noise-std", "nan", "--out", "g.csv"],
     ["generate", "--dataset", "moon", "--n", "10", "--noise-std", "inf", "--out", "g.csv"],
+    ["evaluate", "--pred", "p.csv", "--ref", "r.csv", "--control", "c.csv"],
 ], ids=["sample-steps-0", "sample-n-poses-negative", "generate-n-0", "generate-bad-shift",
         "evaluate-eps-negative", "evaluate-eps-zero", "evaluate-eps-nan",
         "generate-seed-negative", "generate-noise-std-negative", "generate-noise-std-nan",
-        "generate-noise-std-inf"])
+        "generate-noise-std-inf", "evaluate-control"])
 def test_bad_arguments_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     try:
@@ -81,6 +82,22 @@ def test_bad_arguments_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "g.csv").exists()
+
+
+def test_generate_dimension_too_large_to_allocate_is_a_usage_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    # Stands in for the real allocation, which this test must never attempt.
+    monkeypatch.setattr("bridgekit.cli.generate_gauss_pairs", out_of_memory)
+    out = tmp_path / "g.csv"
+    assert run_cli("generate", "--dataset", "gauss-pairs", "--n", 2,
+                   "--dim", 100000000000, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_generate_moon_has_four_coordinate_columns(moon_csv):
@@ -232,6 +249,26 @@ def test_evaluate_non_finite_cloud_is_a_data_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert f"{cloud}:3" in err
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0661", "0x1p3"])
+def test_evaluate_cell_outside_the_number_grammar_is_a_data_error(tmp_path, capsys, cell):
+    cloud = tmp_path / "c.csv"
+    cloud.write_text(f"x_0\n1\n{cell}\n3\n", encoding="utf-8")
+    assert run_cli("evaluate", "--pred", cloud, "--ref", cloud, "--metrics", "mmd") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert f"{cloud}:3: non-numeric cell {cell!r}" in err
+
+
+def test_evaluate_non_utf8_file_is_a_data_error(tmp_path, capsys):
+    cloud = tmp_path / "c.csv"
+    cloud.write_bytes(b"x_0\n1\n\xff\xfe\n")
+    assert run_cli("evaluate", "--pred", cloud, "--ref", cloud, "--metrics", "mmd") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_evaluate_pair_file_without_side_is_explained(tmp_path, capsys):

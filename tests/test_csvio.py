@@ -1,0 +1,144 @@
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from bridgekit import (
+    AlignedDataset,
+    read_cloud,
+    read_pairs,
+    read_trajectories,
+    write_cloud,
+    write_pairs,
+)
+from bridgekit.errors import DataError
+from bridgekit.training import LossBreakdown, write_loss_trace
+
+# Per reader: its header, a valid first data row, and a second row whose last
+# cell is filled in by the test.
+READERS = {
+    "cloud": (read_cloud, "x_0,x_1", "1,2", "3,{}"),
+    "pairs": (read_pairs, "x0_0,x1_0", "1,2", "3,{}"),
+    "trajectories": (read_trajectories, "traj_id,step,t,x_0", "0,0,0,1", "0,1,1,{}"),
+}
+
+SPECIAL = [-0.0, 5e-324, 1e300, 0.1, 3.0, -2.0, 0.0]
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_cloud, "x_0\n\n1\n2\ninf\n", ":5: non-finite cell 'inf'"),
+    (read_cloud, "\n\ny_0\n1\n", ":3: malformed point header 'y_0'"),
+    (read_cloud, "x_0\n1\n  \n2\n", ":3: non-numeric cell '  '"),
+    (read_pairs, "x0_0,x1_0\n1,2\n\n3\n", ":4: expected 2 cells, got 1"),
+    (read_pairs, "x0_0,x1_0\n\n1,2\n\n3,1_0\n", ":5: non-numeric cell '1_0'"),
+    (read_trajectories, "\ntraj_id,step,t,x_0\n0,0,0,1\n\n\n0,1,1,zap\n",
+     ":6: non-numeric cell 'zap'"),
+    (read_trajectories, "traj_id,step,t,x_0\n0,0,0,1\n\n0,0,0,2\n",
+     r":4: duplicate row for trajectory 0 step 0 \(first at line 2\)"),
+    (read_trajectories, "traj_id,step,t,x_0\n\n0,0,0,1\n0,1,1,2\n\n1,0,0,3\n1,1,0.5,4\n",
+     ":7: t = 0.5 at step 1 differs from t = 1 at line 4"),
+], ids=["cloud-non-finite", "cloud-header", "cloud-spaces-only", "pairs-ragged",
+        "pairs-non-numeric", "trajectories-non-numeric", "trajectories-duplicate",
+        "trajectories-t-disagrees"])
+def test_line_numbers_are_physical(tmp_path, reader, text, message):
+    # Empty lines are skipped but still counted; a line of spaces is a row.
+    with pytest.raises(DataError, match=rf"bad\.csv{message}"):
+        reader(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("cell, problem", [("zap", "non-numeric"), ("inf", "non-finite")])
+def test_bad_cell_past_the_first_rescan_block_is_found(tmp_path, cell, problem):
+    # 17,000 good rows fill more than one re-scan block; two empty lines follow.
+    rows = [f"{i},{i}" for i in range(17_000)] + ["", "", f"1,{cell}", "2,2"]
+    path = _write(tmp_path, "x_0,x_1\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=rf"bad\.csv:17004: {problem} cell '{cell}'"):
+        read_cloud(path)
+
+
+@pytest.mark.parametrize("cell, problem", [
+    ("1_0", "non-numeric"),
+    ("١", "non-numeric"),  # ARABIC-INDIC DIGIT ONE, which float() accepts
+    ("0x1p3", "non-numeric"),
+    ("", "non-numeric"),
+    ("inf", "non-finite"),
+    ("nan", "non-finite"),
+    ("1e999", "non-finite"),
+])
+@pytest.mark.parametrize("kind", READERS)
+def test_every_reader_names_the_bad_cell(tmp_path, kind, cell, problem):
+    reader, header, first, row = READERS[kind]
+    path = _write(tmp_path, f"{header}\n{first}\n{row.format(cell)}\n")
+    with pytest.raises(DataError, match=rf"bad\.csv:3: {problem} cell {re.escape(repr(cell))}"):
+        reader(path)
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_readers_accept_padded_and_signed_numbers(tmp_path, kind):
+    reader, header, first, row = READERS[kind]
+    path = _write(tmp_path, f"{header}\n{first}\n{row.format(' +2.5E1 ')}\n")
+    result = reader(path)
+    if kind == "pairs":
+        assert result.x1[1, 0] == 25.0
+    elif kind == "trajectories":
+        assert result.states[0, 1, 0] == 25.0
+    else:
+        assert result[1, 1] == 25.0
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_header_only_file_emits_no_warning(tmp_path, kind):
+    reader, header, _, _ = READERS[kind]
+    path = _write(tmp_path, header + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "trajectories":
+            assert reader(path).n_traj == 0
+        else:
+            with pytest.raises(DataError, match="no data rows"):
+                reader(path)
+
+
+def _per_cell_csv(header, rows):
+    """Per-cell rendering the chunked writer must reproduce byte for byte."""
+    lines = [",".join(header)] + [",".join(format(v, ".17g") for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (5, 3), (17_000, 1)])
+def test_pair_and_cloud_writers_match_per_cell_format(tmp_path, n, d):
+    # The last case has 17,000 rows, more than one write chunk.
+    values = np.random.default_rng(n).normal(size=(n, 2 * d))
+    values.reshape(-1)[: len(SPECIAL)] = SPECIAL
+    x0, x1 = values[:, :d], values[:, d:]
+    names = [f"x0_{j}" for j in range(d)] + [f"x1_{j}" for j in range(d)]
+    path = tmp_path / "pairs.csv"
+    write_pairs(path, AlignedDataset(x0=x0, x1=x1))
+    assert path.read_bytes() == _per_cell_csv(names, values)
+    again = read_pairs(path)
+    assert np.array_equal(again.x0, x0) and np.array_equal(again.x1, x1)
+
+    path = tmp_path / "cloud.csv"
+    write_cloud(path, values)
+    assert path.read_bytes() == _per_cell_csv([f"x_{j}" for j in range(2 * d)], values)
+    assert np.array_equal(read_cloud(path), values)
+
+
+@pytest.mark.parametrize("n", [0, 3, 17_000])
+def test_loss_trace_writer_matches_per_row_format(tmp_path, n):
+    values = np.random.default_rng(n).normal(size=(n, 4))
+    values.reshape(-1)[: len(SPECIAL)] = SPECIAL[: values.size]
+    trace = [LossBreakdown(*row) for row in values.tolist()]
+    path = tmp_path / "trace.csv"
+    write_loss_trace(path, trace)
+    lines = ["iter,total,regression,regularization,mean_m_sq"] + [
+        f"{it},{b.total:.17g},{b.regression:.17g},{b.regularization:.17g},{b.mean_m_sq:.17g}"
+        for it, b in enumerate(trace)
+    ]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
