@@ -9,7 +9,7 @@ cost, RMSD, mean-shift distance) quantify distributional and alignment
 quality.
 """
 
-__version__ = "0.1.3"
+__version__ = "0.1.4"
 
 from .csvio import (
     read_cloud,

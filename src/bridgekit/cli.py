@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .csvio import (
     is_pair_file,
+    parse_row,
     read_cloud,
     read_pairs,
     read_trajectories,
@@ -59,7 +60,9 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(anchor_path, command: str, config: dict, seed, inputs: list, started: float):
+def _write_manifest(anchor_path, command: str, config: dict, seed, inputs: list, started: float,
+                    **results):
+    """``results`` are further top-level entries, such as solver diagnostics."""
     manifest = {
         "command": command,
         "config": config,
@@ -67,6 +70,7 @@ def _write_manifest(anchor_path, command: str, config: dict, seed, inputs: list,
         "input_hashes": {str(p): _sha256(p) for p in inputs},
         "tool_version": __version__,
         "duration_seconds": time.monotonic() - started,
+        **results,
     }
     path = Path(str(anchor_path) + ".manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -82,8 +86,8 @@ def _write_manifest(anchor_path, command: str, config: dict, seed, inputs: list,
 def cmd_generate(args) -> int:
     started = time.monotonic()
     rng = np.random.default_rng(args.seed)
-    # Bad --shift numbers, pair counts or shift lengths a generator rejects, and
-    # a --dim too large to allocate.
+    # Bad --shift cells, pair counts or shift lengths a generator rejects, and a
+    # --dim too large to allocate.
     try:
         if args.dataset == "moon":
             noise = 0.05 if args.noise_std is None else args.noise_std
@@ -92,9 +96,7 @@ def cmd_generate(args) -> int:
             noise = 2.0 if args.noise_std is None else args.noise_std
             ds = generate_t(args.n, noise_std=noise, rng=rng)
         else:
-            shift = None
-            if args.shift is not None:
-                shift = np.array([float(v) for v in args.shift.split(",")])
+            shift = None if args.shift is None else parse_row(args.shift, "--shift")
             ds = generate_gauss_pairs(args.n, d=args.dim, shift=shift, rng=rng)
     except (ValueError, MemoryError) as exc:
         raise UsageError(f"generate --dataset {args.dataset}: {exc}") from None
@@ -190,7 +192,7 @@ def cmd_evaluate(args) -> int:
         if name not in METRICS:
             raise DataError(f"unknown metric {name!r}; valid metrics: {', '.join(METRICS)}")
 
-    lines, values = [], []
+    lines, values, diagnostics = [], [], {}
     for name in names:
         if name == "mmd":
             value = mmd(pred, ref)
@@ -203,6 +205,9 @@ def cmd_evaluate(args) -> int:
                     file=sys.stderr,
                 )
             value = result.value
+            diagnostics["sinkhorn"] = {"n_iters": result.n_iters,
+                                       "marginal_violation": result.marginal_violation,
+                                       "converged": result.converged}
         elif name == "rmsd":
             if pred.shape != ref.shape:
                 raise DataError(
@@ -236,7 +241,7 @@ def cmd_evaluate(args) -> int:
             {"pred": args.pred, "ref": args.ref, "metrics": names, "eps": args.eps,
              "out": args.out, "csv_out": args.csv_out},
             None, [strip_side(args.pred), strip_side(args.ref)],
-            started,
+            started, **diagnostics,
         )
     return 0
 
@@ -253,13 +258,18 @@ def cmd_export_drift(args) -> int:
     return 0
 
 
+def _is_blank(path) -> bool:
+    """True when the file holds only whitespace; reads it in blocks only up to
+    the first other character."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return not any(block.strip() for block in iter(lambda: fh.read(1 << 16), ""))
+
+
 def cmd_plot(args) -> int:
     started = time.monotonic()
     trajectories = None
-    if args.traj:
-        with open(args.traj, "r", encoding="utf-8") as fh:
-            content = fh.read().strip()
-        trajectories = read_trajectories(args.traj) if content else None
+    if args.traj and not _is_blank(args.traj):
+        trajectories = read_trajectories(args.traj)
     pairs = None
     if args.pairs:
         pairs = read_pairs(args.pairs)

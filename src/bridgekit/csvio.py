@@ -70,18 +70,34 @@ def _rescan(path, header_no: int, n_cells: int) -> DataError:
         except ValueError:
             pass
         for no, text in block:
-            cells = text.split(",")
-            if len(cells) != n_cells:
-                return DataError(f"{path}:{no}: expected {n_cells} cells, got {len(cells)}")
+            n_got = text.count(",") + 1
+            if n_got != n_cells:
+                return DataError(f"{path}:{no}: expected {n_cells} cells, got {n_got}")
             try:
-                row = _parse([text])[0]
-            except ValueError:
-                bad = next((c for c in cells if not _is_number(c)), text)
-                return DataError(f"{path}:{no}: non-numeric cell {bad!r}")
-            bad = np.flatnonzero(~np.isfinite(row))
-            if bad.size:
-                return DataError(f"{path}:{no}: non-finite cell {cells[bad[0]]!r}")
+                parse_row(text, f"{path}:{no}")
+            except ValueError as exc:
+                return DataError(str(exc))
     return DataError(f"{path}: unreadable rows")
+
+
+def parse_row(text: str, where: str) -> np.ndarray:
+    """The numbers of one comma-separated line, in the readers' grammar.
+
+    Raises ValueError, prefixed with ``where``, naming the first cell that is
+    not a number or not finite.
+    """
+    cells = text.split(",")
+    try:
+        rows = _parse([text])
+    except ValueError:
+        rows = None
+    if rows is None or len(rows) != 1:
+        bad = next((c for c in cells if not _is_number(c)), text)
+        raise ValueError(f"{where}: non-numeric cell {bad!r}")
+    bad = np.flatnonzero(~np.isfinite(rows[0]))
+    if bad.size:
+        raise ValueError(f"{where}: non-finite cell {cells[bad[0]]!r}")
+    return rows[0]
 
 
 def _read(path, what: str, header_for, pattern: str) -> tuple[int, np.ndarray]:

@@ -1,7 +1,7 @@
 """Distributional and alignment metrics.
 
 All functions are deterministic (no RNG): multi-scale unbiased MMD with RBF
-kernels, entropy-regularized transport cost via log-domain Sinkhorn, RMSD over
+kernels, entropy-regularized transport cost via stabilised Sinkhorn, RMSD over
 index-aligned rows, and the mean-shift (perturbation-signature) distance.
 
 MMD works on square tiles of about 256 rows held in two reused buffers, so its
@@ -11,11 +11,17 @@ coordinate first, so that a tile holds nearby points, and a (tile, scale) pair
 whose every kernel value underflows to exactly 0.0 is skipped; the skip
 changes no value.
 
-Sinkhorn keeps two n x m buffers (the scaled cost -C/eps and a scratch) and
-allocates nothing n x m inside a sweep. Its stop test needs no plan: after a
-g-update the columns are feasible, and the row violation follows from the
-next f-update, which the next sweep needs anyway. The plan is formed once,
-from the pair of potentials the stop test accepted.
+Sinkhorn runs in the stabilised scaling domain (Schmitzer 2019). Each eps
+stage starts with one log-domain sweep, whose potentials are then absorbed
+into a kernel K_ij = a_i b_j exp((f_i + g_j - C_ij) / eps); the later sweeps
+are two mat-vecs, u = a / (K v) and v = b / (K^T u). A sweep whose mat-vec
+has an entry that is 0 or not finite, or whose scalings would leave
+[1e-100, 1e100], runs in the log domain instead and absorbs again. Three n x m
+arrays are live: the cost, -C/eps and a scratch that holds K. The stop test
+needs no plan: after a v-update the columns are feasible, and row i sums to
+u_i (K v)_i, where K v is the next sweep's first mat-vec. The plan is formed
+once, from the potentials f + eps log u and g + eps log v that the stop test
+accepted.
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ _TILE = 256
 # exp(-v) rounds to exactly 0.0 for every double v > 745.14, so a tile whose
 # smallest d^2 / (2 s^2) exceeds this adds exactly nothing at scale s.
 _EXP_UNDERFLOW = 745.2
+
+# Sinkhorn's scalings u and v stay within this range; a sweep that would leave
+# it runs in the log domain instead and absorbs the scalings into the kernel.
+_SCALING_MIN, _SCALING_MAX = 1e-100, 1e100
 
 
 def _as_cloud(x, name: str) -> np.ndarray:
@@ -135,18 +145,30 @@ class SinkhornResult:
     converged: bool
 
 
+def _scaling(weight: float, kv: np.ndarray):
+    """``weight / kv``, or None when a quotient would leave [1e-100, 1e100].
+
+    That is also None when ``kv`` has an entry that is 0 or not finite; the
+    range is tested on ``kv`` before dividing, so no warning is raised.
+    """
+    if not (weight * _SCALING_MIN <= kv.min() and kv.max() <= weight * _SCALING_MAX):
+        return None
+    return weight / kv
+
+
 def sinkhorn_w(
     x, y, eps: float = 0.1, max_iters: int = 5000, tol: float = 1e-6,
     warm_start: bool = True,
 ) -> SinkhornResult:
-    """Log-domain Sinkhorn on the squared-distance cost with uniform weights.
+    """Sinkhorn on the squared-distance cost with uniform weights, in the
+    stabilised scaling domain with log-domain sweeps where it must.
 
-    Iterates dual potentials until the worse of the two L1 marginal violations
-    drops below ``tol``; the reported scalar is the plain transport cost
-    <P, C> of the converged plan. ``warm_start`` initializes the potentials by
-    annealing from a large regularization down to ``eps`` (deterministic, and
-    essential for convergence when eps is far below the cost scale); the
-    annealing sweeps count toward ``max_iters``.
+    Iterates until the worse of the two L1 marginal violations drops below
+    ``tol``; the reported scalar is the plain transport cost <P, C> of the
+    converged plan. ``warm_start`` anneals the regularization from a large
+    value down to ``eps``, 10 sweeps per halving (deterministic, and essential
+    for convergence when eps is far below the cost scale); the annealing
+    sweeps count toward ``max_iters``.
     """
     if not 0.0 < eps < np.inf:  # also false for NaN
         raise ValueError("eps must be positive and finite")
@@ -155,13 +177,12 @@ def sinkhorn_w(
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     n, m = len(x), len(y)
-    a = np.full(n, 1.0 / n)
-    b = np.full(m, 1.0 / m)
-    log_a = np.log(a)
-    log_b = np.log(b)
+    a_w, b_w = 1.0 / n, 1.0 / m
+    log_a = np.full(n, np.log(a_w))
+    log_b = np.full(m, np.log(b_w))
     cost = _sq_dists(x, y)
     scaled = np.empty_like(cost)  # -cost / e for the current e
-    work = np.empty_like(cost)
+    work = np.empty_like(cost)  # log-domain scratch, then the kernel K
 
     def half_sweep(shift, axis, e):
         # -e log sum exp(-C / e + shift) along ``axis``, stabilised by its max;
@@ -173,51 +194,79 @@ def sinkhorn_w(
         np.exp(work, out=work)
         return -e * (top + np.log(work.sum(axis=axis, keepdims=True))).ravel()
 
-    f = np.zeros(n)
-    g = np.zeros(m)
-    it = 0
+    def f_update(g, e):
+        return half_sweep(g / e + log_b, 1, e)
+
+    def plan_of(f, g, e):
+        # a_i b_j exp((f_i + g_j - C_ij) / e) in ``work``: the plan of (f, g),
+        # and the kernel K that the scaling sweeps run on. Feasible plans have
+        # log entries <= 0; the clamp only tames far-from-converged iterates.
+        np.add(scaled, (f / e + log_a)[:, None], out=work)
+        np.add(work, g / e + log_b, out=work)
+        np.minimum(work, 50.0, out=work)
+        return np.exp(work, out=work)
+
+    stages = []
     cost_scale = float(np.max(cost)) if cost.size else 1.0
     if warm_start and cost_scale > 0 and eps < cost_scale / 4:
         e = cost_scale / 4
-        while e > eps and it < max_iters:
-            np.divide(cost, -e, out=scaled)
-            for _ in range(10):
-                if it >= max_iters:
-                    break
-                f = half_sweep(g / e + log_b, 1, e)
-                g = half_sweep((f / e + log_a)[:, None], 0, e)
-                it += 1
+        while e > eps:
+            stages.append(e)
             e = max(eps, e / 2)
+    stages.append(eps)
 
+    # The potentials are f + e log u and g + e log v: (f, g) are held in the
+    # kernel K = plan_of(f, g, e), and a sweep on it is two mat-vecs,
+    # u = a / (K v) and v = b / (K^T u). A stage starts with one log-domain
+    # sweep, which absorbs the potentials into K and resets u = v = 1; so
+    # does any sweep whose mat-vec or scaling leaves the safe range.
+    f, g = np.zeros(n), np.zeros(m)
+    u, v = np.ones(n), np.ones(m)
+    it = 0
     violation = None
     converged = False
-    np.divide(cost, -eps, out=scaled)
-    if it < max_iters:
-        f_next = half_sweep(g / eps + log_b, 1, eps)
-        while it < max_iters:
-            f = f_next
-            g = half_sweep((f / eps + log_a)[:, None], 0, eps)
+    for e in stages:
+        final = e == eps
+        np.divide(cost, -e, out=scaled)
+        stop = max_iters if final else min(it + 10, max_iters)
+        u_next = None  # a / (K v) for the next sweep; None: a log-domain sweep
+        f_next = None  # the next f-update, when the log-domain stop test made it
+        while it < stop:
+            v_next = None if u_next is None else _scaling(b_w, work.T @ u_next)
+            if v_next is None:
+                f = f_update(g + e * np.log(v), e) if f_next is None else f_next
+                g = half_sweep((f / e + log_a)[:, None], 0, e)
+                plan_of(f, g, e)
+                u, v = np.ones(n), np.ones(m)
+            else:
+                u, v = u_next, v_next
             it += 1
-            # Columns are now feasible; row i of the plan sums to
-            # a_i exp((f_i - f'_i) / eps), with f' the next f-update. That is
-            # at most 1, but rounding in f / eps can push the exponent far
-            # past log n when eps is tiny, so it is clamped like the plan's.
-            f_next = half_sweep(g / eps + log_b, 1, eps)
-            row_excess = np.minimum((f - f_next) / eps, 50.0)
-            violation = float(np.sum(a * np.abs(1.0 - np.exp(row_excess))))
+            f_next = None
+            u_next = _scaling(a_w, work @ v)
+            if not final:
+                continue
+            # Columns are now feasible, and row i of the plan sums to
+            # u_i (K v)_i = a_i u_i / u'_i, with u' the next u-update.
+            if u_next is not None:
+                violation = float(a_w * np.sum(np.abs(1.0 - u / u_next)))
+            else:
+                # The same test in the log domain: row i sums to
+                # a_i exp((f_i - f'_i) / e). Rounding in f / e can push that
+                # exponent far past log n when e is tiny, so it is clamped
+                # like the plan's.
+                f_next = f_update(g + e * np.log(v), e)
+                row_excess = np.minimum((f + e * np.log(u) - f_next) / e, 50.0)
+                violation = float(a_w * np.sum(np.abs(1.0 - np.exp(row_excess))))
             if violation < tol:
                 converged = True
                 break
-    # The plan in the log domain; feasible plans have log entries <= 0, and the
-    # clamp only tames the overflow of far-from-converged iterates.
-    plan = np.add(scaled, (f / eps + log_a)[:, None], out=work)
-    plan += g / eps + log_b
-    np.minimum(plan, 50.0, out=plan)
-    np.exp(plan, out=plan)
+        f, g = f + e * np.log(u), g + e * np.log(v)
+        u, v = np.ones(n), np.ones(m)
+    plan = plan_of(f, g, eps)
     if violation is None:
         violation = max(
-            float(np.abs(plan.sum(axis=1) - a).sum()),
-            float(np.abs(plan.sum(axis=0) - b).sum()),
+            float(np.abs(plan.sum(axis=1) - a_w).sum()),
+            float(np.abs(plan.sum(axis=0) - b_w).sum()),
         )
     np.multiply(plan, cost, out=scaled)
     return SinkhornResult(

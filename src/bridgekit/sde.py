@@ -265,11 +265,21 @@ def _trajectory_noise(seed: int, traj_ids: np.ndarray, n_steps: int, d: int) -> 
     given trajectory therefore never depend on which other trajectories are
     simulated alongside it.
     """
-    key_hi = np.uint64(seed % (1 << 64))
+    # One generator, re-keyed per trajectory: Philox(key=...) would draw OS
+    # entropy for a seed sequence that the key then replaces. The state is
+    # that of a fresh Philox(key=[seed, id]).
+    key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
     out = np.empty((len(traj_ids), n_steps, d))
     for row, tid in enumerate(traj_ids):
-        bitgen = np.random.Philox(key=np.array([key_hi, np.uint64(int(tid))], dtype=np.uint64))
-        out[row] = np.random.Generator(bitgen).standard_normal((n_steps, d))
+        key[1] = int(tid)
+        bitgen.state = state
+        rng.standard_normal(out=out[row])
     return out
 
 

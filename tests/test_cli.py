@@ -122,6 +122,24 @@ def test_generate_gauss_with_shift(tmp_path):
     np.testing.assert_allclose(ds.x1 - ds.x0, np.tile([3.0, 4.0], (50, 1)))
 
 
+@pytest.mark.parametrize("shift", ["1_0,2", "\u0661,2", "0x1p3,2", "inf,2", "1,nan"])
+def test_generate_shift_outside_the_number_grammar_is_a_usage_error(tmp_path, capsys, shift):
+    out = tmp_path / "g.csv"
+    assert run_cli("generate", "--dataset", "gauss-pairs", "--n", 3, "--dim", 2,
+                   "--shift", shift, "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:") and "--shift" in err[0]
+    assert not out.exists()
+
+
+def test_generate_shift_takes_exponents_and_signs(tmp_path):
+    out = tmp_path / "g.csv"
+    assert run_cli("generate", "--dataset", "gauss-pairs", "--n", 4, "--dim", 2,
+                   "--shift", "1e-3,-2", "--out", out) == 0
+    ds = read_pairs(out)
+    np.testing.assert_allclose(ds.x1 - ds.x0, np.tile([1e-3, -2.0], (4, 1)))
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -320,6 +338,30 @@ def test_evaluate_csv_out(tmp_path):
     assert (tmp_path / "metrics.csv.manifest.json").exists()
 
 
+def test_evaluate_manifest_records_sinkhorn_diagnostics(tmp_path):
+    from bridgekit import sinkhorn_w, write_cloud
+
+    rng = np.random.default_rng(3)
+    pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
+    write_cloud(pred, rng.normal(size=(30, 2)))
+    write_cloud(ref, rng.normal(size=(25, 2)) + 0.5)
+    report = tmp_path / "report.txt"
+    assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "sinkhorn,ps_l2",
+                   "--eps", 0.05, "--out", report) == 0
+    manifest = json.loads((tmp_path / "report.txt.manifest.json").read_text())
+    expected = sinkhorn_w(read_cloud(pred), read_cloud(ref), eps=0.05)
+    assert manifest["sinkhorn"] == {"n_iters": expected.n_iters,
+                                    "marginal_violation": expected.marginal_violation,
+                                    "converged": expected.converged}
+    assert expected.converged and expected.n_iters > 0
+    # The report keeps one "name = value" line per metric.
+    assert [line.split(" = ")[0] for line in report.read_text().splitlines()] == [
+        "sinkhorn", "ps_l2"]
+    assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "ps_l2",
+                   "--out", tmp_path / "r.txt") == 0
+    assert "sinkhorn" not in json.loads((tmp_path / "r.txt.manifest.json").read_text())
+
+
 def test_export_drift_command(tmp_path, trained):
     out = tmp_path / "prior.bkt"
     assert run_cli("export-drift", "--model", trained, "--out", out) == 0
@@ -337,6 +379,31 @@ def test_plot_empty_trajectory_file_is_valid_svg(tmp_path):
     assert run_cli("plot", "--traj", traj, "--out", out) == 0
     root = ET.parse(out).getroot()
     assert root.tag.endswith("svg")
+
+
+@pytest.mark.parametrize("blank", ["", "\n\n", " \t\r\n  \n", " " * 70_000 + "\n"])
+def test_plot_blank_trajectory_file_draws_no_trajectories(tmp_path, blank):
+    traj = tmp_path / "blank.csv"
+    traj.write_text(blank)
+    no_traj, out = tmp_path / "none.svg", tmp_path / "plot.svg"
+    assert run_cli("plot", "--out", no_traj) == 0
+    assert run_cli("plot", "--traj", traj, "--out", out) == 0
+    assert out.read_bytes() == no_traj.read_bytes()
+
+
+def test_plot_reads_trajectories_after_a_long_blank_prefix(tmp_path):
+    from bridgekit import TrajectoryBatch, write_trajectories
+
+    states = np.random.default_rng(2).normal(size=(3, 5, 2))
+    traj = tmp_path / "traj.csv"
+    write_trajectories(traj, TrajectoryBatch(times=np.linspace(0, 1, 5), states=states))
+    padded = tmp_path / "padded.csv"
+    padded.write_text("\n" * 70_000 + traj.read_text())
+    plain, out = tmp_path / "plain.svg", tmp_path / "plot.svg"
+    assert run_cli("plot", "--traj", traj, "--out", plain) == 0
+    assert run_cli("plot", "--traj", padded, "--out", out) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    assert len([el for el in ET.parse(out).getroot().iter() if el.tag.endswith("polyline")]) == 3
 
 
 def test_plot_polyline_count_matches_trajectories(tmp_path, trained, moon_csv):

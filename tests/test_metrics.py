@@ -337,6 +337,89 @@ def test_sinkhorn_matches_reference_sweep_loop(n, m, d, eps, warm_start):
     assert result.marginal_violation == pytest.approx(recomputed, abs=1e-12)
 
 
+def sinkhorn_fallbacks(monkeypatch):
+    """Spy on the kernel path: the smallest entry of every mat-vec that sent a
+    sweep back to the log domain."""
+    import bridgekit.metrics as metrics
+
+    real_scaling = metrics._scaling
+    seen = []
+
+    def spy(weight, kv):
+        scaling = real_scaling(weight, kv)
+        if scaling is None:
+            seen.append(float(kv.min()))
+        return scaling
+
+    monkeypatch.setattr(metrics, "_scaling", spy)
+    return seen
+
+
+@pytest.mark.parametrize("warm_start", [True, False])
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01, 1e-3])
+def test_sinkhorn_kernel_sweeps_match_log_domain_loop(eps, warm_start):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(12, 2))
+    y = 0.8 * rng.normal(size=(15, 2)) + 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sinkhorn_w(x, y, eps=eps, warm_start=warm_start, max_iters=20_000)
+    value, n_iters, _ = reference_sinkhorn(x, y, eps=eps, warm_start=warm_start,
+                                           max_iters=20_000)
+    assert result.converged
+    assert abs(result.n_iters - n_iters) <= 1
+    assert result.value == pytest.approx(value, rel=1e-12)
+
+
+def test_sinkhorn_scaling_out_of_range_is_absorbed(monkeypatch):
+    # Without annealing at eps 1e-3 the potentials drift by more than
+    # 230 eps within the stage, so u or v would pass 1e100.
+    fallbacks = sinkhorn_fallbacks(monkeypatch)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(5, 2))
+    y = 0.8 * rng.normal(size=(8, 2)) + 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sinkhorn_w(x, y, eps=1e-3, warm_start=False, max_iters=20_000)
+    assert fallbacks and min(fallbacks) > 0.0
+    value, n_iters, _ = reference_sinkhorn(x, y, eps=1e-3, warm_start=False, max_iters=20_000)
+    assert result.converged
+    assert abs(result.n_iters - n_iters) <= 1
+    assert result.value == pytest.approx(value, rel=1e-12)
+
+
+def test_sinkhorn_zero_mat_vec_entry_falls_back_quietly(monkeypatch):
+    # Costs near 1e8 at eps 1e-12: rounding in f / eps leaves a whole column
+    # of the kernel at 0, so K^T u has an entry that is exactly 0.
+    fallbacks = sinkhorn_fallbacks(monkeypatch)
+    rng = np.random.default_rng(0)
+    x = 1e4 * rng.standard_normal((20, 2))
+    y = 1e4 * rng.standard_normal((15, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sinkhorn_w(x, y, eps=1e-12, warm_start=False, max_iters=20)
+    assert 0.0 in fallbacks
+    assert result.n_iters == 20
+    assert math.isfinite(result.value) and math.isfinite(result.marginal_violation)
+    assert np.all(np.isfinite(result.plan))
+
+
+def test_sinkhorn_memory_is_three_cost_sized_arrays():
+    import tracemalloc
+
+    rng = np.random.default_rng(8)
+    n, m = 600, 500
+    x, y = rng.normal(size=(n, 2)), rng.normal(size=(m, 2)) + 0.3
+    sinkhorn_w(x, y)
+    tracemalloc.start()
+    try:
+        sinkhorn_w(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n * m * 8
+
+
 def test_sinkhorn_rejects_bad_eps():
     with pytest.raises(ValueError):
         sinkhorn_w(np.zeros((2, 1)), np.zeros((2, 1)), eps=0.0)

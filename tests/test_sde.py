@@ -81,6 +81,18 @@ def test_noise_is_per_trajectory_not_per_batch():
     assert np.array_equal(whole.states[6:], second.states)
 
 
+@pytest.mark.parametrize("seed, first_id", [(0, 0), (9, 5), (2**40 + 3, 1234), (2**64 - 1, 7)])
+def test_trajectory_noise_is_the_keyed_philox_stream(seed, first_id):
+    from bridgekit.sde import _trajectory_noise
+
+    ids = np.arange(first_id, first_id + 6)
+    noise = _trajectory_noise(seed, ids, 11, 3)
+    for row, tid in enumerate(ids):
+        key = np.array([seed % 2**64, tid], dtype=np.uint64)
+        stream = np.random.Generator(np.random.Philox(key=key)).standard_normal((11, 3))
+        assert np.array_equal(noise[row], stream)
+
+
 def test_network_drift_agrees_across_batchings_to_rounding():
     # A network drift is evaluated by BLAS products that are not row-invariant,
     # so split batches agree with the whole batch only to rounding.
