@@ -86,6 +86,14 @@ def _write_manifest(anchor_path, command: str, config: dict, seed, inputs: list,
 def cmd_generate(args) -> int:
     started = time.monotonic()
     rng = np.random.default_rng(args.seed)
+    if args.dataset != "gauss-pairs":
+        given = [flag for flag, value in (("--dim", args.dim), ("--shift", args.shift))
+                 if value is not None]
+        if given:
+            raise UsageError(f"generate --dataset {args.dataset}: {' and '.join(given)} "
+                             f"only apply to --dataset gauss-pairs")
+    elif args.dim is None:
+        args.dim = 2
     # Bad --shift cells, pair counts or shift lengths a generator rejects, and a
     # --dim too large to allocate.
     try:
@@ -318,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_number(int, 1), required=True, help="number of pairs")
     p.add_argument("--noise-std", type=_number(float, 0.0), default=None,
                    help="noise level (defaults: moon 0.05, t 2.0)")
-    p.add_argument("--dim", type=_number(int, 1), default=2, help="dimension for gauss-pairs")
+    p.add_argument("--dim", type=_number(int, 1), default=None,
+                   help="dimension for gauss-pairs (default 2)")
     p.add_argument("--shift", type=str, default=None,
                    help="comma-separated shift vector for gauss-pairs")
     p.add_argument("--seed", type=_number(int, 0), default=0)

@@ -263,7 +263,12 @@ def sinkhorn_w(
         f, g = f + e * np.log(u), g + e * np.log(v)
         u, v = np.ones(n), np.ones(m)
     plan = plan_of(f, g, eps)
-    if violation is None:
+    # Below 2^-40 of the cost scale, f / eps rounds by more than the sweeps'
+    # violation can resolve: report the returned plan's own, not converged.
+    unresolved = eps < 2.0**-40 * cost_scale
+    if unresolved:
+        converged = False
+    if violation is None or unresolved:
         violation = max(
             float(np.abs(plan.sum(axis=1) - a_w).sum()),
             float(np.abs(plan.sum(axis=0) - b_w).sum()),

@@ -18,12 +18,18 @@ layer's weight and bias are views of it. ``backward`` returns the gradient as
 one vector in the same layout, so the optimizer, the EMA and the model file
 each handle one vector per network and only this module knows the layers.
 
-Calling a network in eval mode takes a separate, cache-free inference path:
-at a scalar ``t`` the time branch runs on one row and is folded into the
-first head layer's bias, and every hidden layer writes into buffers the
-network owns and reuses across calls (the returned array is always fresh).
-Those buffers make inference not re-entrant: one network object must not be
-called from two threads at once.
+Each block runs one layer pass with an optional cache. Without one (calling
+a network in eval mode) every hidden layer writes into buffers the network
+owns and reuses across calls, and checks its output for finite values; at a
+scalar ``t`` the time branch runs on one row and is folded into the first
+head layer's bias, and the returned array is always fresh. With a cache
+(training, or ``forward`` in eval mode) each layer applies its activation in
+place and keeps its input, the activation's derivative (computed alongside
+the activation) and its dropout mask, so ``backward`` evaluates no
+activation again; all of one forward's dropout masks come from one draw, and
+nothing is checked until the caller sees a non-finite result and asks
+``check_finite`` which layer made it. The buffers make a network not
+re-entrant: one network object must not be called from two threads at once.
 """
 
 from __future__ import annotations
@@ -50,24 +56,31 @@ _LEAKY_SLOPE = 0.01
 
 
 # Each activation is applied in place to a pre-activation ``z``; ``tmp`` is a
-# scratch array of the same shape that the function may overwrite.
+# scratch array of the same shape that the function may overwrite. Given
+# ``deriv``, it also writes the derivative at the original ``z`` there, so a
+# backward pass needs no gradient function of its own.
 
 
-def _selu_(z, tmp):
+def _selu_(z, tmp, deriv=None):
     # scale * (max(z, 0) + alpha * expm1(min(z, 0))) is bit-equal to the
     # np.where form, and keeps expm1 off the overflowing branch.
     np.minimum(z, 0.0, out=tmp)
+    if deriv is not None:  # scale * alpha * exp(min(z, 0)) below 0, scale above
+        np.exp(tmp, out=deriv)
+        deriv *= _SELU_ALPHA
     np.expm1(tmp, out=tmp)
     tmp *= _SELU_ALPHA
     np.maximum(z, 0.0, out=z)
     z += tmp
     z *= _SELU_SCALE
+    if deriv is not None:
+        # The output is positive exactly where z is; there alpha * exp(0) is
+        # alpha, and alpha - (alpha - 1) is 1 exactly.
+        np.greater(z, 0.0, out=tmp)
+        tmp *= _SELU_ALPHA - 1.0
+        deriv -= tmp
+        deriv *= _SELU_SCALE
     return z
-
-
-def _selu_grad(z):
-    neg = np.minimum(z, 0.0)
-    return _SELU_SCALE * np.where(z > 0, 1.0, _SELU_ALPHA * np.exp(neg))
 
 
 def _sigmoid(z):
@@ -79,50 +92,37 @@ def _sigmoid(z):
     return out
 
 
-def _silu_(z, tmp):
-    return np.multiply(z, _sigmoid(z), out=z)
-
-
-def _silu_grad(z):
+def _silu_(z, tmp, deriv=None):
     s = _sigmoid(z)
-    return s * (1.0 + z * (1.0 - s))
+    if deriv is not None:  # s * (1 + z * (1 - s))
+        np.subtract(1.0, s, out=deriv)
+        deriv *= z
+        deriv += 1.0
+        deriv *= s
+    return np.multiply(z, s, out=z)
 
 
-def _relu_(z, tmp):
+def _relu_(z, tmp, deriv=None):
+    if deriv is not None:
+        np.greater(z, 0.0, out=deriv)
     return np.maximum(z, 0.0, out=z)
 
 
-def _relu_grad(z):
-    return (z > 0).astype(float)
-
-
-def _leaky_relu_(z, tmp):
+def _leaky_relu_(z, tmp, deriv=None):
+    if deriv is not None:  # 1 on z > 0, else slope; (1 - slope) + slope == 1
+        np.greater(z, 0.0, out=deriv)
+        deriv *= 1.0 - _LEAKY_SLOPE
+        deriv += _LEAKY_SLOPE
     # max(z, slope * z) picks z for z > 0 and slope * z otherwise (0 < slope < 1).
     return np.maximum(z, np.multiply(z, _LEAKY_SLOPE, out=tmp), out=z)
 
 
-def _leaky_relu_grad(z):
-    return np.where(z > 0, 1.0, _LEAKY_SLOPE)
-
-
-_IN_PLACE = {
-    "selu": (_selu_, _selu_grad),
-    "silu": (_silu_, _silu_grad),
-    "relu": (_relu_, _relu_grad),
-    "leaky_relu": (_leaky_relu_, _leaky_relu_grad),
+ACTIVATIONS = {
+    "selu": _selu_,
+    "silu": _silu_,
+    "relu": _relu_,
+    "leaky_relu": _leaky_relu_,
 }
-
-
-def _copying(act_):
-    def act(z):
-        z = np.array(z, dtype=float)
-        return act_(z, np.empty_like(z))
-
-    return act
-
-
-# name -> (activation, gradient); both leave their argument untouched.
-ACTIVATIONS = {name: (_copying(act_), grad) for name, (act_, grad) in _IN_PLACE.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +235,8 @@ class _Block:
     """A stack of linear layers; all but (optionally) the last carry
     activation + dropout."""
 
-    def __init__(self, sizes, activation, dropout_rate, bare_last, rng, zero_last=False):
-        self._act, self._act_grad = ACTIVATIONS[activation]
-        self._act_ = _IN_PLACE[activation][0]
-        self.dropout_rate = dropout_rate
+    def __init__(self, sizes, activation, bare_last, rng, zero_last=False):
+        self._act = ACTIVATIONS[activation]
         self.bare_last = bare_last
         self.weights = []
         self.biases = []
@@ -256,68 +254,66 @@ class _Block:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def forward(self, x, train, rng, where):
-        """Returns (output, cache). ``where`` labels errors."""
-        cache = []
-        h = x
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            last = li == self.n_layers - 1
-            if last and self.bare_last:
-                a, mask = z, None
-            else:
-                a = self._act(z)
-                if train and self.dropout_rate > 0.0:
-                    keep = rng.random(a.shape) >= self.dropout_rate
-                    mask = keep / (1.0 - self.dropout_rate)
-                    a = a * mask
-                else:
-                    mask = None
-            if not np.all(np.isfinite(a)):
-                raise NumericsError(f"non-finite activation in {where} layer {li}")
-            cache.append((h, z, mask))
-            h = a
-        return h, cache
+    def forward(self, h, bufs, where, first=None, cache=None, masks=None):
+        """The block's output for input rows ``h``; one pass for both modes.
 
-    def infer(self, h, bufs, where, first=None):
-        """Eval-mode output of the block, keeping no cache.
+        Without ``cache`` (eval mode) layer i writes into ``bufs[i % 2]`` and
+        applies its activation in place with the other buffer as scratch, so
+        ``bufs[0]`` must not hold ``h`` (``bufs[1]`` may: h is dead once
+        layer 0's product is formed); every layer's output is checked for
+        finite values and a failure names ``where`` and the layer. The
+        output of a non-bare last layer is a view of one buffer; a bare last
+        layer returns a fresh array. ``first`` = (W, b) replaces the weight
+        and bias of layer 0; ``b`` may hold one row per row of h.
 
-        Layer i writes into ``bufs[i % 2]`` and applies its activation in
-        place with the other buffer as scratch, so ``bufs[0]`` must not hold
-        ``h`` (``bufs[1]`` may: h is dead once layer 0's product is formed).
-        The output of a non-bare last layer is a view of one buffer; a bare
-        last layer returns a fresh array. ``first`` = (W, b) replaces
-        the weight and bias of layer 0; ``b`` may hold one row per row of h.
+        With a ``cache`` list, every layer's output is a fresh array, its
+        activation runs in place (``bufs[0]`` is the scratch) and the layer
+        appends (input, activation derivative, dropout mask) to the cache;
+        ``masks`` holds one mask per activated layer, or None for no dropout.
+        Nothing is checked: see ``_TimeConditionedNet.check_finite``.
         """
+        last = self.n_layers - 1 if self.bare_last else None
         for li, (w, b) in enumerate(zip(self.weights, self.biases)):
             if li == 0 and first is not None:
                 w, b = first
-            if li == self.n_layers - 1 and self.bare_last:
+            bare = li == last
+            if cache is not None:
                 a = h @ w.T
                 a += b
+                deriv = mask = None
+                if not bare:
+                    deriv = np.empty_like(a)
+                    self._act(a, bufs[0], deriv)
+                    mask = None if masks is None else masks[li]
+                    if mask is not None:
+                        a *= mask
+                cache.append((h, deriv, mask))
             else:
-                a = np.matmul(h, w.T, out=bufs[li % 2])
+                a = h @ w.T if bare else np.matmul(h, w.T, out=bufs[li % 2])
                 a += b
-                self._act_(a, bufs[(li + 1) % 2])
-            if not np.all(np.isfinite(a)):
-                raise NumericsError(f"non-finite activation in {where} layer {li}")
+                if not bare:
+                    self._act(a, bufs[(li + 1) % 2])
+                if not np.all(np.isfinite(a)):
+                    raise NumericsError(f"non-finite activation in {where} layer {li}")
             h = a
         return h
 
-    def backward(self, cache, grad_out, grads):
+    def backward(self, cache, grad_out, grads, input_grad=True):
         """Writes each layer's (dW, db) into the views ``grads``; returns the
-        gradient wrt the block input."""
+        gradient wrt the block input, or None when ``input_grad`` is False.
+        ``grad_out`` is overwritten when the last layer is activated."""
         g = grad_out
         for li in range(self.n_layers - 1, -1, -1):
-            h, z, mask = cache[li]
-            last = li == self.n_layers - 1
-            if not (last and self.bare_last):
-                if mask is not None:
-                    g = g * mask
-                g = g * self._act_grad(z)
+            h, deriv, mask = cache[li]
+            if mask is not None:
+                g *= mask
+            if deriv is not None:
+                g *= deriv
             dw, db = grads[li]
             np.matmul(g.T, h, out=dw)
             g.sum(axis=0, out=db)
+            if li == 0 and not input_grad:
+                return None
             g = g @ self.weights[li]
         return g
 
@@ -334,18 +330,17 @@ class _TimeConditionedNet:
         h = spec.hidden_dim
         state_in = spec.input_dim * (2 if spec.uses_drift_input else 1)
         self.x_enc = _Block(
-            [state_in] + [h] * X_ENC_LAYERS,
-            spec.activation, spec.dropout_rate, bare_last=False, rng=rng,
+            [state_in] + [h] * X_ENC_LAYERS, spec.activation, bare_last=False, rng=rng,
         )
         self.t_enc = _Block(
-            [spec.time_embed_dim] + [h] * T_ENC_LAYERS,
-            spec.activation, spec.dropout_rate, bare_last=False, rng=rng,
+            [spec.time_embed_dim] + [h] * T_ENC_LAYERS, spec.activation, bare_last=False,
+            rng=rng,
         )
         self.head = _Block(
             [2 * h] + [h] * (HEAD_LAYERS - 1) + [spec.output_dim],
-            spec.activation, spec.dropout_rate, bare_last=True, rng=rng, zero_last=True,
+            spec.activation, bare_last=True, rng=rng, zero_last=True,
         )
-        self._bufs = np.empty((2, 0, h))  # inference layer buffers, grown on demand
+        self._bufs = np.empty((2, 0, h))  # layer buffers and scratch, see _buffers
         # Move the drawn values into one vector and make every layer a view of it.
         self.theta = np.concatenate([a.ravel() for blk in self._blocks()
                                      for wb in zip(blk.weights, blk.biases) for a in wb])
@@ -402,25 +397,63 @@ class _TimeConditionedNet:
             net_in = x
         return t, net_in
 
-    def forward(self, t, x, extra=None, train=False, rng=None, keep_cache=True):
+    def forward(self, t, x, extra=None, train=False, rng=None, keep_cache=True, emb=None):
         """Returns (output, cache).
 
         With ``keep_cache=False`` an eval-mode pass takes the cache-free
-        inference path and the cache is None.
+        inference path, which checks every layer, and the cache is None. A
+        pass that keeps a cache checks nothing; a caller that finds its
+        output non-finite calls ``check_finite`` to name the layer. ``emb``
+        may pass ``time_embed(t, spec.time_embed_dim)`` rows already made.
         """
         if train and self.spec.dropout_rate > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
         t, net_in = self._prepare(t, x, extra)
         if not (train or keep_cache):
             return self._infer(t, net_in), None
-        if t.ndim == 0:
-            t = np.full(net_in.shape[0], float(t))
-        emb = time_embed(t, self.spec.time_embed_dim)
-        hx, cx = self.x_enc.forward(net_in, train, rng, "x_enc")
-        ht, ct = self.t_enc.forward(emb, train, rng, "t_enc")
+        n, rate = net_in.shape[0], self.spec.dropout_rate
+        if emb is None:
+            emb = time_embed(np.broadcast_to(t, (n,)), self.spec.time_embed_dim)
+        mx = mt = mh = None
+        if train and rate > 0.0:
+            # One draw for the masks of every activated layer: the same stream
+            # as one draw per layer in forward order.
+            masks = rng.random((X_ENC_LAYERS + T_ENC_LAYERS + HEAD_LAYERS - 1, n,
+                                self.spec.hidden_dim))
+            np.greater_equal(masks, rate, out=masks)
+            masks *= 1.0 / (1.0 - rate)  # keep / (1 - rate), bit for bit
+            head_from = X_ENC_LAYERS + T_ENC_LAYERS
+            mx, mt, mh = masks[:X_ENC_LAYERS], masks[X_ENC_LAYERS:head_from], masks[head_from:]
+        scratch = self._buffers(n)[:1]
+        cx, ct, ch = [], [], []
+        hx = self.x_enc.forward(net_in, scratch, "x_enc", cache=cx, masks=mx)
+        ht = self.t_enc.forward(emb, scratch, "t_enc", cache=ct, masks=mt)
         joint = np.concatenate([hx, ht], axis=1)
-        out, ch = self.head.forward(joint, train, rng, "head")
+        out = self.head.forward(joint, scratch, "head", cache=ch, masks=mh)
         return out, (cx, ct, ch)
+
+    def check_finite(self, cache, out) -> None:
+        """Raises NumericsError naming the first layer, in forward order,
+        whose output in the pass that made ``cache`` and ``out`` is not
+        finite. Each layer's output is the next layer's cached input."""
+        cx, ct, ch = cache
+        h = self.spec.hidden_dim
+        joint = ch[0][0]
+        outputs = (
+            ("x_enc", [c[0] for c in cx[1:]] + [joint[:, :h]]),
+            ("t_enc", [c[0] for c in ct[1:]] + [joint[:, h:]]),
+            ("head", [c[0] for c in ch[1:]] + [out]),
+        )
+        for where, layers in outputs:
+            for li, a in enumerate(layers):
+                if not np.all(np.isfinite(a)):
+                    raise NumericsError(f"non-finite activation in {where} layer {li}")
+
+    def _buffers(self, rows):
+        """The two (rows, hidden) layer buffers, grown on demand."""
+        if rows > self._bufs.shape[1]:
+            self._bufs = np.empty((2, rows, self.spec.hidden_dim))
+        return self._bufs[:, :rows]
 
     def _infer(self, t, net_in):
         """Eval-mode output without caches. A scalar ``t`` runs the time
@@ -428,18 +461,15 @@ class _TimeConditionedNet:
         halves, hx @ Wx.T + (ht @ Wt.T + b0), so no concatenation is built."""
         n, h = net_in.shape[0], self.spec.hidden_dim
         t = np.atleast_1d(t)
-        rows = max(n, len(t))
-        if rows > self._bufs.shape[1]:
-            self._bufs = np.empty((2, rows, h))
-        a, b = self._bufs
-        ht = self.t_enc.infer(time_embed(t, self.spec.time_embed_dim),
-                              (a[: len(t)], b[: len(t)]), "t_enc")
+        a, b = self._buffers(max(n, len(t)))
+        ht = self.t_enc.forward(time_embed(t, self.spec.time_embed_dim),
+                                (a[: len(t)], b[: len(t)]), "t_enc")
         w0 = self.head.weights[0]
         t_bias = ht @ w0[:, h:].T
         t_bias += self.head.biases[0]
         a, b = a[:n], b[:n]
-        hx = self.x_enc.infer(net_in, (a, b), "x_enc")  # an odd layer count leaves hx in a
-        return self.head.infer(hx, (b, a), "head", first=(w0[:, :h], t_bias))
+        hx = self.x_enc.forward(net_in, (a, b), "x_enc")  # an odd layer count leaves hx in a
+        return self.head.forward(hx, (b, a), "head", first=(w0[:, :h], t_bias))
 
     def backward(self, cache, grad_out) -> np.ndarray:
         """Parameter gradient, one fresh vector laid out like ``theta``, from
@@ -449,8 +479,9 @@ class _TimeConditionedNet:
         grad = np.empty_like(self.theta)
         gx, gt, gh = self._layer_views(grad)
         g_joint = self.head.backward(ch, grad_out, gh)
-        self.x_enc.backward(cx, g_joint[:, :h], gx)
-        self.t_enc.backward(ct, g_joint[:, h:], gt)
+        # Nothing uses the gradient wrt the state or the time features.
+        self.x_enc.backward(cx, g_joint[:, :h], gx, input_grad=False)
+        self.t_enc.backward(ct, g_joint[:, h:], gt, input_grad=False)
         return grad
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,7 +112,7 @@ class DiffusivitySchedule:
         beta = overlap @ g_sq
         return beta if t_arr.ndim else float(beta)
 
-    @property
+    @cached_property
     def beta_total(self) -> float:
         return float(self.cum_beta(1.0))
 
@@ -191,13 +192,16 @@ class TrajectoryBatch:
 # ---------------------------------------------------------------------------
 
 
-def bridge_marginal_moments(x0, x1, t, schedule: DiffusivitySchedule):
-    """Mean and per-coordinate variance of the pinned process at time t."""
+def bridge_marginal_moments(x0, x1, t, schedule: DiffusivitySchedule, beta_t=None):
+    """Mean and per-coordinate variance of the pinned process at time t.
+
+    ``beta_t`` may pass ``schedule.cum_beta(t)`` when the caller has it.
+    """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     if x0.shape != x1.shape:
         raise ValueError(f"endpoint shapes differ: {x0.shape} vs {x1.shape}")
-    beta_t = np.asarray(schedule.cum_beta(t), dtype=float)
+    beta_t = np.asarray(schedule.cum_beta(t) if beta_t is None else beta_t, dtype=float)
     beta_1 = schedule.beta_total
     frac = (beta_t / beta_1)[..., None] if beta_t.ndim else beta_t / beta_1
     mean = x0 + frac * (x1 - x0)
@@ -205,16 +209,18 @@ def bridge_marginal_moments(x0, x1, t, schedule: DiffusivitySchedule):
     return mean, var
 
 
-def bridge_marginal_sample(x0, x1, t, schedule: DiffusivitySchedule, rng: np.random.Generator):
+def bridge_marginal_sample(x0, x1, t, schedule: DiffusivitySchedule, rng: np.random.Generator,
+                           beta_t=None):
     """Draw from the bridge marginal at time t; exact endpoints at t in {0, 1}.
 
     ``x0``/``x1`` may be single states or batches of rows; ``t`` may be a
     scalar or one value per row. One standard-normal block is always consumed,
     so the rng stream advances identically regardless of the t values.
+    ``beta_t`` may pass ``schedule.cum_beta(t)`` when the caller has it.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    mean, var = bridge_marginal_moments(x0, x1, t, schedule)
+    mean, var = bridge_marginal_moments(x0, x1, t, schedule, beta_t)
     eps = rng.standard_normal(mean.shape)
     std = np.sqrt(var)
     draw = mean + (std[..., None] if np.ndim(std) else std) * eps
@@ -231,17 +237,18 @@ def bridge_marginal_sample(x0, x1, t, schedule: DiffusivitySchedule, rng: np.ran
     return draw
 
 
-def bridge_drift_target(x, x1, t, schedule: DiffusivitySchedule):
+def bridge_drift_target(x, x1, t, schedule: DiffusivitySchedule, beta_t=None):
     """Regression target (x1 - x) / (beta(1) - beta(t)).
 
     Raises :class:`BridgeSingularityError` when t is too close to the horizon;
-    callers are expected to clip their training times.
+    callers are expected to clip their training times. ``beta_t`` may pass
+    ``schedule.cum_beta(t)`` when the caller has it.
     """
     x = np.asarray(x, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     if x.shape != x1.shape:
         raise ValueError(f"state shapes differ: {x.shape} vs {x1.shape}")
-    beta_t = np.asarray(schedule.cum_beta(t), dtype=float)
+    beta_t = np.asarray(schedule.cum_beta(t) if beta_t is None else beta_t, dtype=float)
     beta_1 = schedule.beta_total
     remaining = beta_1 - beta_t
     if np.any(remaining < SINGULARITY_GUARD * beta_1):

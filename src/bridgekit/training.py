@@ -12,7 +12,8 @@ inference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .csvio import write_csv
 from .datasets import AlignedDataset
 from .errors import ConfigError, DataError, NumericsError
-from .nets import DoobNet, DriftNet, MlpSpec, make_doob_spec, make_drift_spec
+from .nets import DoobNet, DriftNet, MlpSpec, make_doob_spec, make_drift_spec, time_embed
 from .optim import AdamW, EmaTracker
 from .sde import DiffusivitySchedule, bridge_drift_target, bridge_marginal_sample
 from .serialize import KIND_PAIR, LoadedModel, load_model, save_model
@@ -67,7 +68,7 @@ class TrainConfig:
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
 
-    @property
+    @cached_property
     def schedule(self) -> DiffusivitySchedule:
         return DiffusivitySchedule.constant(self.g)
 
@@ -148,6 +149,9 @@ class TrainingBatch:
     x1: np.ndarray  # (n, d)
     t: np.ndarray  # (n,)
     x_t: np.ndarray  # (n, d)
+    # cum_beta(t) under ``schedule``, when the batch was drawn under one.
+    schedule: Optional[DiffusivitySchedule] = None
+    beta_t: Optional[np.ndarray] = None  # (n,)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -176,8 +180,11 @@ def sample_training_batch(
     # Flip the half-open interval so t = 0 is excluded and 1 - t_clip included.
     u = rng.random(len(pair_index))
     t = (1.0 - u) * (1.0 - config.t_clip)
-    x_t = bridge_marginal_sample(x0, x1, t, config.schedule, rng)
-    return TrainingBatch(pair_index=pair_index, x0=x0, x1=x1, t=t, x_t=x_t)
+    schedule = config.schedule
+    beta_t = schedule.cum_beta(t)
+    x_t = bridge_marginal_sample(x0, x1, t, schedule, rng, beta_t=beta_t)
+    return TrainingBatch(pair_index=pair_index, x0=x0, x1=x1, t=t, x_t=x_t,
+                         schedule=schedule, beta_t=beta_t)
 
 
 def _lambda_at(t: np.ndarray, mode: str, value: float) -> np.ndarray:
@@ -202,28 +209,38 @@ def loss_batch(
 
     Returns (LossBreakdown, drift parameter grads, correction parameter
     grads). Gradients flow into the drift net only through its own output;
-    the correction net sees the drift value as a constant.
+    the correction net sees the drift value as a constant. When the loss is
+    not finite because a layer output is not, NumericsError names the layer.
     """
     if len(batch) == 0:
         raise DataError("empty training batch")
     n = len(batch)
-    target = bridge_drift_target(batch.x_t, batch.x1, batch.t, schedule)
+    beta_t = batch.beta_t if batch.schedule == schedule else None
+    target = bridge_drift_target(batch.x_t, batch.x1, batch.t, schedule, beta_t=beta_t)
 
-    b_out, b_cache = drift.forward(batch.t, batch.x_t, train=train_mode, rng=rng)
+    emb = None
+    if drift.spec.time_embed_dim == doob.spec.time_embed_dim:
+        emb = time_embed(batch.t, drift.spec.time_embed_dim)
+    b_out, b_cache = drift.forward(batch.t, batch.x_t, train=train_mode, rng=rng, emb=emb)
     extra = b_out if doob.spec.uses_drift_input else None
-    m_out, m_cache = doob.forward(batch.t, batch.x_t, extra=extra, train=train_mode, rng=rng)
+    m_out, m_cache = doob.forward(batch.t, batch.x_t, extra=extra, train=train_mode, rng=rng,
+                                  emb=emb)
 
     resid = target - (b_out + m_out)
     lam = _lambda_at(batch.t, lambda_mode, lambda_value)
     sq_m = np.sum(m_out * m_out, axis=1)
-    regression = float(np.mean(np.sum(resid * resid, axis=1)))
-    regularization = float(np.mean(lam * sq_m))
+    # Each mean is its sum over n, as np.mean computes it.
+    regression = float(np.sum(resid * resid, axis=1).sum()) / n
+    regularization = float((lam * sq_m).sum()) / n
     breakdown = LossBreakdown(
         total=regression + regularization,
         regression=regression,
         regularization=regularization,
-        mean_m_sq=float(np.mean(sq_m)),
+        mean_m_sq=float(sq_m.sum()) / n,
     )
+    if not math.isfinite(breakdown.total):
+        drift.check_finite(b_cache, b_out)
+        doob.check_finite(m_cache, m_out)
 
     d_b = -2.0 * resid / n
     d_m = (-2.0 * resid + 2.0 * lam[:, None] * m_out) / n
@@ -256,7 +273,8 @@ def train(
 
     Per iteration: draw a batch, evaluate loss and both gradients once, update
     the correction parameters with lr_doob, then the drift parameters with
-    lr_drift, then fold both into their EMAs.
+    lr_drift, then fold both into their EMAs. A non-finite loss raises
+    NumericsError, naming the first non-finite layer output if there is one.
     """
     d = dataset.d
     if drift_spec is None:
@@ -281,24 +299,26 @@ def train(
     ema_m = EmaTracker(doob.theta, decay=config.ema_decay)
 
     trace: list[LossBreakdown] = []
-    for it in range(config.n_iters):
-        batch = sample_training_batch(dataset, config, batches)
-        breakdown, grads_d, grads_m = loss_batch(
-            batch, drift, doob, schedule,
-            lambda_mode=config.lambda_mode,
-            lambda_value=config.lambda_value,
-            train_mode=True,
-            rng=dropout,
-        )
-        if not np.isfinite(breakdown.total):
-            raise NumericsError(f"non-finite loss at iteration {it}: {breakdown}")
-        opt_m.step(doob.theta, grads_m)
-        opt_d.step(drift.theta, grads_d)
-        ema_m.update(doob.theta)
-        ema_d.update(drift.theta)
-        trace.append(breakdown)
-        if progress is not None and (it + 1) % config.eval_every == 0:
-            progress(it + 1, breakdown)
+    # A non-finite value surfaces as the NumericsError below, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(config.n_iters):
+            batch = sample_training_batch(dataset, config, batches)
+            breakdown, grads_d, grads_m = loss_batch(
+                batch, drift, doob, schedule,
+                lambda_mode=config.lambda_mode,
+                lambda_value=config.lambda_value,
+                train_mode=True,
+                rng=dropout,
+            )
+            if not math.isfinite(breakdown.total):
+                raise NumericsError(f"non-finite loss at iteration {it}: {breakdown}")
+            opt_m.step(doob.theta, grads_m)
+            opt_d.step(drift.theta, grads_d)
+            ema_m.update(doob.theta)
+            ema_d.update(drift.theta)
+            trace.append(breakdown)
+            if progress is not None and (it + 1) % config.eval_every == 0:
+                progress(it + 1, breakdown)
 
     drift.theta[...] = ema_d.shadow
     doob.theta[...] = ema_m.shadow

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bridgekit import TrainConfig, read_cloud, read_pairs
+from bridgekit import AlignedDataset, TrainConfig, read_cloud, read_pairs, write_pairs
 from bridgekit.cli import main
 from bridgekit.training import format_config
 
@@ -140,6 +140,25 @@ def test_generate_shift_takes_exponents_and_signs(tmp_path):
     np.testing.assert_allclose(ds.x1 - ds.x0, np.tile([1e-3, -2.0], (4, 1)))
 
 
+@pytest.mark.parametrize("dataset", ["moon", "t"])
+@pytest.mark.parametrize("flag", [["--shift", "1,2"], ["--dim", "3"]], ids=["shift", "dim"])
+def test_generate_gauss_only_flag_on_other_dataset_is_a_usage_error(tmp_path, capsys, dataset,
+                                                                     flag):
+    out = tmp_path / "g.csv"
+    assert run_cli("generate", "--dataset", dataset, "--n", 5, *flag, "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:") and flag[0] in err[0]
+    assert not out.exists()
+
+
+def test_generate_gauss_dimension_defaults_to_two(tmp_path):
+    out = tmp_path / "g.csv"
+    assert run_cli("generate", "--dataset", "gauss-pairs", "--n", 3, "--out", out) == 0
+    assert read_pairs(out).d == 2
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert manifest["config"]["dim"] == 2 and manifest["config"]["shift"] is None
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -173,6 +192,20 @@ def test_train_unknown_config_key_names_it(tmp_path, moon_csv, capsys):
     cfg.write_text(tiny_config_text() + "warp_factor = 9\n")
     assert run_cli("train", "--data", moon_csv, "--config", cfg, "--out", tmp_path / "m") == 3
     assert "warp_factor" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_non_finite_activation_exits_4_with_one_line(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    x0 = np.full((20, 2), 1.7e308)
+    write_pairs(data, AlignedDataset(x0=x0, x1=x0.copy()))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(tiny_config_text())
+    out = tmp_path / "m"
+    assert run_cli("train", "--data", data, "--config", cfg, "--out", out) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numerical failure: non-finite activation in x_enc layer 0"]
+    assert not (out / "model.bkt").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,21 @@ def test_sinkhorn_tiny_eps_without_warm_start_stays_finite_and_quiet(seed):
     assert np.all(np.isfinite(result.plan))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3, 4])
+def test_sinkhorn_eps_below_cost_resolution_reports_the_plans_violation(seed):
+    # eps 1e-12 against costs near 1e8 is below 2^-40 of the cost scale: the
+    # sweeps' violation does not describe the plan, so the plan's is reported.
+    rng = np.random.default_rng(seed)
+    x = 1e4 * rng.standard_normal((40, 2))
+    y = 1e4 * rng.standard_normal((30, 2))
+    result = sinkhorn_w(x, y, eps=1e-12, warm_start=False, max_iters=50)
+    plan = result.plan
+    expected = max(np.abs(plan.sum(axis=1) - 1.0 / 40).sum(),
+                   np.abs(plan.sum(axis=0) - 1.0 / 30).sum())
+    assert result.marginal_violation == pytest.approx(expected, rel=1e-12)
+    assert result.converged is False
+
+
 def reference_sinkhorn(x, y, eps=0.1, max_iters=5000, tol=1e-6, warm_start=True):
     """The earlier sweep loop: a full plan after every fixed-eps sweep for the
     stop test. Returns (value, n_iters, marginal_violation)."""

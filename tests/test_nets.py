@@ -125,19 +125,99 @@ def test_dimension_mismatch_raises():
         net(0.5, np.zeros((2, 4)))
 
 
+def activate(name, z, with_derivative=False):
+    """The in-place activation ``name`` applied to a copy of z; with
+    ``with_derivative``, (value, derivative)."""
+    z = np.array(z, dtype=float)
+    deriv = np.empty_like(z) if with_derivative else None
+    out = ACTIVATIONS[name](z, np.empty_like(z), deriv)
+    return (out, deriv) if with_derivative else out
+
+
 def test_activation_formulas():
     z = np.array([-1.5, -0.2, 0.0, 0.4, 2.0])
-    selu, _ = ACTIVATIONS["selu"]
-    silu, _ = ACTIVATIONS["silu"]
-    relu, _ = ACTIVATIONS["relu"]
-    leaky, _ = ACTIVATIONS["leaky_relu"]
     scale, alpha = 1.0507009873554805, 1.6732632423543772
     np.testing.assert_allclose(
-        selu(z), scale * np.where(z > 0, z, alpha * (np.exp(z) - 1)), rtol=1e-12
+        activate("selu", z), scale * np.where(z > 0, z, alpha * (np.exp(z) - 1)), rtol=1e-12
     )
-    np.testing.assert_allclose(silu(z), z / (1 + np.exp(-z)), rtol=1e-12)
-    np.testing.assert_allclose(relu(z), np.maximum(z, 0))
-    np.testing.assert_allclose(leaky(z), np.where(z > 0, z, 0.01 * z))
+    np.testing.assert_allclose(activate("silu", z), z / (1 + np.exp(-z)), rtol=1e-12)
+    np.testing.assert_allclose(activate("relu", z), np.maximum(z, 0))
+    np.testing.assert_allclose(activate("leaky_relu", z), np.where(z > 0, z, 0.01 * z))
+
+
+# Pre-activations for the derivative guards: both zeros, the far negative
+# tail, and points where no formula below cancels badly.
+DERIV_Z = np.array([-745.0, -700.0, -100.0, -50.0, -40.0, -30.0, -5.0, -2.0, -1.0, -0.5,
+                    -1e-8, -5e-324, -0.0, 0.0, 5e-324, 1e-8, 0.5, 1.0, 2.0, 5.0, 40.0, 700.0])
+
+
+def analytic_derivative(name, z):
+    scale, alpha, slope = 1.0507009873554805, 1.6732632423543772, 0.01
+    if name == "selu":
+        return np.where(z > 0, scale, scale * alpha * np.exp(np.minimum(z, 0.0)))
+    if name == "silu":
+        e = np.exp(-np.abs(z))  # s = 1 / (1 + e) on z >= 0, e / (1 + e) below
+        s = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        one_minus_s = np.where(z >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+        return s + z * s * one_minus_s
+    return np.where(z > 0, 1.0, 0.0 if name == "relu" else slope)
+
+
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_train_mode_derivative_matches_analytic(activation):
+    value, deriv = activate(activation, DERIV_Z, with_derivative=True)
+    assert np.array_equal(value, activate(activation, DERIV_Z))  # the value is unchanged
+    expected = analytic_derivative(activation, DERIV_Z)
+    np.testing.assert_allclose(deriv, expected, rtol=1e-14, atol=0.0)
+    if activation != "silu":  # exactly the constant slope above 0
+        assert np.array_equal(deriv[DERIV_Z > 0], expected[DERIV_Z > 0])
+
+
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_cached_derivative_is_that_of_the_layer_pre_activation(activation):
+    net = randomize(DriftNet(small_spec(activation=activation, dropout_rate=0.2)), 80)
+    x = np.random.default_rng(81).normal(size=(9, 3))
+    _, (cx, ct, ch) = net.forward(np.random.default_rng(82).random(9), x, train=True,
+                                  rng=np.random.default_rng(83))
+    for block, cache in ((net.x_enc, cx), (net.t_enc, ct), (net.head, ch)):
+        for li, (h, deriv, mask) in enumerate(cache):
+            if deriv is None:
+                assert li == block.n_layers - 1 and block is net.head and mask is None
+                continue
+            z = h @ block.weights[li].T + block.biases[li]
+            assert np.array_equal(deriv, activate(activation, z, with_derivative=True)[1])
+
+
+def test_one_forward_draws_its_masks_as_per_layer_draws():
+    spec = small_spec(dropout_rate=0.3)
+    net = randomize(DriftNet(spec), 84)
+    x = np.random.default_rng(85).normal(size=(11, 3))
+    rng = np.random.default_rng(86)
+    _, cache = net.forward(np.random.default_rng(87).random(11), x, train=True, rng=rng)
+    masks = [mask for block in cache for _, _, mask in block if mask is not None]
+    assert len(masks) == 7
+    per_layer = np.random.default_rng(86)
+    for mask in masks:  # x_enc 0-2, t_enc 0-1, head 0-1: the forward order
+        keep = per_layer.random((11, spec.hidden_dim)) >= spec.dropout_rate
+        assert np.array_equal(mask, keep / (1.0 - spec.dropout_rate))
+    assert rng.random() == per_layer.random()
+
+
+def test_cached_pass_checks_nothing_and_check_finite_names_the_layer():
+    net = randomize(DriftNet(small_spec()), 88)
+    x = np.random.default_rng(89).normal(size=(4, 3))
+    t = np.random.default_rng(90).random(4)
+    out, cache = net.forward(t, x)
+    net.check_finite(cache, out)  # finite: no error
+    net.t_enc.weights[1][0, 0] = np.nan
+    out, cache = net.forward(t, x)  # no per-layer check on a cached pass
+    with pytest.raises(NumericsError, match="t_enc layer 1"):
+        net.check_finite(cache, out)
+    x[1, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        out, cache = net.forward(t, x)
+    with pytest.raises(NumericsError, match="x_enc layer 0"):
+        net.check_finite(cache, out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from bridgekit import (
     sample_training_batch,
     train,
 )
-from bridgekit.errors import ConfigError
-from bridgekit.sde import bridge_drift_target
+from bridgekit.errors import ConfigError, NumericsError
+from bridgekit.sde import DiffusivitySchedule, bridge_drift_target
 from bridgekit.training import (
     TrainingBatch,
     format_config,
@@ -219,6 +219,16 @@ def test_gradient_partition_penalty_independent_of_theta():
     assert p0 == p1
 
 
+def test_loss_under_another_schedule_does_not_reuse_the_batch_beta():
+    cfg = TrainConfig(batch_size=8)
+    batch = sample_training_batch(GAUSS, cfg, np.random.default_rng(3))
+    bare = TrainingBatch(batch.pair_index, batch.x0, batch.x1, batch.t, batch.x_t)
+    drift, doob = small_nets(dropout=0.0)
+    for schedule in (cfg.schedule, DiffusivitySchedule.constant(2.0)):
+        assert (loss_batch(batch, drift, doob, schedule)[0]
+                == loss_batch(bare, drift, doob, schedule)[0])
+
+
 def test_linear_in_t_lambda_mode():
     drift, doob = constant_output_nets(0.0, 1.0)
     t = np.array([0.25, 0.75])
@@ -273,6 +283,35 @@ def test_progress_callback_cadence():
     cfg = TrainConfig(n_iters=10, batch_size=4, seed=2, eval_every=3)
     train(GAUSS, cfg, progress=lambda it, b: seen.append(it))
     assert seen == [3, 6, 9]
+
+
+# Non-finite values end training with NumericsError and no numpy warnings: the
+# loss check finds them, then the cached layer outputs are scanned in order.
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_overflowing_activation_names_the_layer():
+    # |x @ W.T| can pass the largest double for states near 1.7e308.
+    x0 = np.full((20, 2), 1.7e308)
+    with pytest.raises(NumericsError, match=r"^non-finite activation in x_enc layer 0$"):
+        train(AlignedDataset(x0=x0, x1=x0.copy()), TrainConfig(batch_size=8, n_iters=3))
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_non_finite_layer_past_the_first_is_named():
+    # One AdamW step of size 1e300 leaves weights near 1e300; the second
+    # iteration's x_enc layer 1 multiplies two of them.
+    cfg = TrainConfig(batch_size=8, n_iters=3, lr_drift=1e300, lr_doob=1e300)
+    with pytest.raises(NumericsError, match=r"^non-finite activation in x_enc layer 1$"):
+        train(GAUSS, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_non_finite_loss_alone_names_the_iteration():
+    # Every activation stays finite; the squared residual (about 4e400) does not.
+    x0 = np.full((20, 2), 1e200)
+    with pytest.raises(NumericsError, match=r"^non-finite loss at iteration 0: "):
+        train(AlignedDataset(x0=x0, x1=-x0), TrainConfig(batch_size=8, n_iters=3))
 
 
 def test_loss_trace_csv(tmp_path):
