@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 Every command takes a --seed where randomness is involved and is run-to-run
 deterministic; each run writes exactly one JSON manifest next to its outputs
 recording the command, its full configuration, input file hashes, the tool
-version, and the wall-clock duration. Commands never mutate their inputs.
+version, the wall-clock duration, and the environment (Python, numpy and
+BLAS versions, the BLAS thread cap, peak RSS). Commands never mutate their
+inputs.
 
 The BRIDGEKIT_THREADS environment variable caps the BLAS worker threads
 (default: all cores); set it to 1 for bit-identical results across machines.
@@ -22,6 +24,8 @@ import argparse
 import hashlib
 import json
 import math
+import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -60,6 +64,21 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _environment() -> dict:
+    """What a run's numbers depend on besides its inputs: versions, the BLAS
+    thread cap (None when no variable sets one) and this process's peak RSS."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    cap = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("BRIDGEKIT_THREADS"))
+    max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_thread_cap": int(cap) if cap is not None and cap.isdigit() else cap,
+        "peak_rss_mb": max_rss / (2**20 if sys.platform == "darwin" else 2**10),
+    }
+
+
 def _write_manifest(anchor_path, command: str, config: dict, seed, inputs: list, started: float,
                     **results):
     """``results`` are further top-level entries, such as solver diagnostics."""
@@ -70,6 +89,7 @@ def _write_manifest(anchor_path, command: str, config: dict, seed, inputs: list,
         "input_hashes": {str(p): _sha256(p) for p in inputs},
         "tool_version": __version__,
         "duration_seconds": time.monotonic() - started,
+        "environment": _environment(),
         **results,
     }
     path = Path(str(anchor_path) + ".manifest.json")

@@ -5,11 +5,16 @@ kernels, entropy-regularized transport cost via stabilised Sinkhorn, RMSD over
 index-aligned rows, and the mean-shift (perturbation-signature) distance.
 
 MMD works on square tiles of about 256 rows held in two reused buffers, so its
-memory does not grow with the cloud sizes. Within-sample sums evaluate only
-the tiles on and above the diagonal. Each cloud is sorted along its first
-coordinate first, so that a tile holds nearby points, and a (tile, scale) pair
-whose every kernel value underflows to exactly 0.0 is skipped; the skip
-changes no value.
+memory does not grow with the cloud sizes. A tile's squared distances are one
+matrix product of augmented rows, [-2a, |a|^2, 1] . [b, 1, |b|^2], clamped at
+0; each scale then multiplies them by -1 / (2 s^2) and takes one exp, except a
+scale that is exactly half the one before it, whose kernel is the previous
+kernel squared twice (the default scales take three exps per tile).
+Within-sample sums evaluate only the tiles on and above the diagonal, and set
+the diagonal's squared distances to exactly 0. Each cloud is sorted along its
+first coordinate first, so that a tile holds nearby points, and a (tile,
+scale) pair whose every kernel value underflows to exactly 0.0 is skipped; the
+skip changes no value.
 
 Sinkhorn runs in the stabilised scaling domain (Schmitzer 2019). Each eps
 stage starts with one log-domain sweep, whose potentials are then absorbed
@@ -66,35 +71,48 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _kernel_sums(a: np.ndarray, b: np.ndarray, scales) -> np.ndarray:
     """Total sum of exp(-d^2 / (2 s^2)) over all (i, j), one value per scale.
 
-    When ``b is a`` only tiles on and above the diagonal are evaluated, and
-    each off-diagonal tile counts twice.
+    When ``b is a`` only tiles on and above the diagonal are evaluated, each
+    off-diagonal tile counts twice, and the diagonal's d^2 is exactly 0, so
+    its kernel values are exactly 1.
     """
     symmetric = b is a
     sums = np.zeros(len(scales))
-    two_s2 = [2.0 * s * s for s in scales]
-    a_norm = np.sum(a * a, axis=1)
-    b_norm = a_norm if symmetric else np.sum(b * b, axis=1)
-    d2_buf = np.empty((_TILE, _TILE))
-    k_buf = np.empty((_TILE, _TILE))
+    neg_inv = [-1.0 / (2.0 * s * s) for s in scales]
+    # Half the scale before it: 2 (s/2)^2 is exactly 2 s^2 / 4, so the kernel
+    # is the previous one to the fourth power. Its exponent is exactly 4 times
+    # the previous one's, so it is skipped whenever the previous scale is, and
+    # otherwise k still holds the previous kernel.
+    halves = [i > 0 and s * 2.0 == scales[i - 1] for i, s in enumerate(scales)]
+    # d^2 = |a|^2 + |b|^2 - 2 a.b as one product: [-2a, |a|^2, 1] . [b, 1, |b|^2].
+    a_sq = np.sum(a * a, axis=1)
+    lhs = np.column_stack([-2.0 * a, a_sq, np.ones(len(a))])
+    b_sq = a_sq if symmetric else np.sum(b * b, axis=1)
+    rhs = np.column_stack([b, np.ones(len(b)), b_sq])
+    d2_buf = np.empty(_TILE * _TILE)
+    k_buf = np.empty(_TILE * _TILE)
     for lo in range(0, len(a), _TILE):
-        a_tile = a[lo : lo + _TILE]
+        lhs_tile = lhs[lo : lo + _TILE]
         for lo2 in range(lo if symmetric else 0, len(b), _TILE):
-            b_tile = b[lo2 : lo2 + _TILE]
-            d2 = d2_buf[: len(a_tile), : len(b_tile)]
-            k = k_buf[: len(a_tile), : len(b_tile)]
-            # d^2 = |a|^2 + |b|^2 - 2 a.b, clamped at 0 against cancellation.
-            np.matmul(a_tile, b_tile.T, out=k)
-            k *= 2.0
-            np.add(a_norm[lo : lo + _TILE, None], b_norm[None, lo2 : lo2 + _TILE], out=d2)
-            d2 -= k
-            np.maximum(d2, 0.0, out=d2)
+            rhs_tile = rhs[lo2 : lo2 + _TILE]
+            shape = (len(lhs_tile), len(rhs_tile))
+            d2 = d2_buf[: shape[0] * shape[1]].reshape(shape)
+            k = k_buf[: shape[0] * shape[1]].reshape(shape)
+            np.matmul(lhs_tile, rhs_tile.T, out=d2)
+            np.maximum(d2, 0.0, out=d2)  # against cancellation
+            diagonal = symmetric and lo2 == lo
+            if diagonal:
+                np.fill_diagonal(d2, 0.0)
             d2_min = float(d2.min())
-            weight = 2.0 if symmetric and lo2 != lo else 1.0
-            for si, t in enumerate(two_s2):
-                if d2_min / t > _EXP_UNDERFLOW:
+            weight = 2.0 if symmetric and not diagonal else 1.0
+            for si, c in enumerate(neg_inv):
+                if d2_min * c < -_EXP_UNDERFLOW:
                     continue
-                np.divide(d2, -t, out=k)
-                np.exp(k, out=k)
+                if halves[si]:
+                    np.square(k, out=k)
+                    np.square(k, out=k)
+                else:
+                    np.multiply(d2, c, out=k)
+                    np.exp(k, out=k)
                 sums[si] += weight * float(k.sum())
     return sums
 
@@ -104,7 +122,8 @@ def mmd(x, y, scales=DEFAULT_MMD_SCALES) -> float:
 
     Within-sample terms average the off-diagonal kernel values, the cross term
     the full kernel matrix; the estimate may be negative. Requires at least
-    two points per side.
+    two points per side, and at least one scale s with s, 2 s^2 and
+    1 / (2 s^2) positive and finite.
     """
     x = _as_cloud(x, "x")
     y = _as_cloud(y, "y")
@@ -121,6 +140,13 @@ def mmd(x, y, scales=DEFAULT_MMD_SCALES) -> float:
     x = x[np.argsort(x[:, 0], kind="stable")]
     y = y[np.argsort(y[:, 0], kind="stable")]
     scales = tuple(float(s) for s in scales)
+    if not scales:
+        raise ValueError("MMD needs at least one length scale")
+    for s in scales:
+        two_s2 = 2.0 * s * s
+        if not (0.0 < s < np.inf and 0.0 < two_s2 < np.inf and 1.0 / two_s2 < np.inf):
+            raise ValueError(f"bad MMD scale {s!r}: s, 2 s^2 and 1 / (2 s^2) must be "
+                             f"positive and finite")
     s_xx = _kernel_sums(x, x, scales)
     s_yy = _kernel_sums(y, y, scales)
     s_xy = _kernel_sums(x, y, scales)

@@ -112,6 +112,30 @@ def test_generate_writes_manifest(moon_csv):
     assert manifest["tool_version"]
 
 
+def test_manifest_records_the_environment(moon_csv, monkeypatch, tmp_path):
+    import platform
+
+    env = json.loads((moon_csv.parent / "moon.csv.manifest.json").read_text())["environment"]
+    assert sorted(env) == ["blas", "blas_thread_cap", "numpy", "peak_rss_mb", "python"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert env["peak_rss_mb"] > 1.0
+    # The cap is read from the environment when the manifest is written.
+    for var in ("OPENBLAS_NUM_THREADS", "BRIDGEKIT_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    cases = [({}, None), ({"BRIDGEKIT_THREADS": "3"}, 3),
+             ({"OPENBLAS_NUM_THREADS": "2", "BRIDGEKIT_THREADS": "3"}, 2)]
+    for i, (variables, cap) in enumerate(cases):
+        for var, value in variables.items():
+            monkeypatch.setenv(var, value)
+        out = tmp_path / f"g{i}.csv"
+        assert run_cli("generate", "--dataset", "moon", "--n", 5, "--seed", 1, "--out", out) == 0
+        manifest = json.loads((tmp_path / f"g{i}.csv.manifest.json").read_text())
+        assert manifest["environment"]["blas_thread_cap"] == cap
+
+
 def test_generate_gauss_with_shift(tmp_path):
     out = tmp_path / "g.csv"
     assert run_cli(

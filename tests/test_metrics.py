@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -148,6 +149,83 @@ def test_mmd_memory_does_not_grow_with_cloud_size():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_mmd_diagonal_kernel_values_are_exactly_one():
+    from bridgekit.metrics import _kernel_sums
+
+    # Far from the origin |a|^2 + |a|^2 - 2 a.a is not 0 in floating point; at
+    # a scale of 0.005 that error alone took 2.4e-4 off the sum.
+    rng = np.random.default_rng(25)
+    cols, rows = np.meshgrid(np.arange(20) * 1.1, np.arange(15) * 0.7)
+    g = np.column_stack([cols.ravel() + 1000.3, rows.ravel() - 777.7])
+    g += rng.uniform(-0.01, 0.01, size=g.shape)
+    assert len(g) == 300
+    assert _kernel_sums(g, g, (0.005,))[0] == 300.0
+
+
+@pytest.mark.parametrize(
+    "scales", [[0.0], [math.nan], [math.inf], [], [-1.0], [1e200], [1e-160], [1e-155],
+               [1.0, 0.0]],
+    ids=["zero", "nan", "inf", "empty", "negative", "2s2-overflows", "2s2-underflows",
+         "reciprocal-overflows", "second-bad"],
+)
+def test_mmd_rejects_bad_scales(scales):
+    rng = np.random.default_rng(26)
+    x, y = rng.normal(size=(5, 2)), rng.normal(size=(6, 2))
+    match = repr(float(scales[-1])) if scales else "at least one"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(match)):
+            mmd(x, y, scales=scales)
+
+
+def test_kernel_sums_match_one_exp_per_scale():
+    from bridgekit.metrics import _kernel_sums
+
+    # A single-scale call takes one exp per tile: the path without halving.
+    for x, y in multi_tile_clouds():
+        for a, b in ((x, x), (y, y), (x, y)):
+            sums = _kernel_sums(a, b, DEFAULT_MMD_SCALES)
+            per_scale = [_kernel_sums(a, b, (s,))[0] for s in DEFAULT_MMD_SCALES]
+            np.testing.assert_allclose(sums, per_scale, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("scales", [(1.0, 0.5, 0.3, 0.15), (3.0, 0.7)])
+def test_mmd_halving_rule_matches_cdist_reference(scales):
+    assert 0.3 / 2.0 == 0.15
+    for x, y in multi_tile_clouds():
+        assert mmd(x, y, scales=scales) == pytest.approx(cdist_mmd(x, y, scales), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scales, exps_per_tile",
+    [(DEFAULT_MMD_SCALES, 3), ((1.0, 0.5, 0.3, 0.15), 2), ((3.0, 0.7), 2)],
+)
+def test_mmd_exps_per_tile(monkeypatch, scales, exps_per_tile):
+    import bridgekit.metrics as metrics
+
+    calls = {"exp": 0, "matmul": 0}
+    real = {name: getattr(np, name) for name in calls}
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real[name](*args, **kwargs)
+        return wrapper
+
+    rng = np.random.default_rng(22)
+    x, y = rng.uniform(-10, 10, size=(1000, 1)), rng.uniform(-10, 10, size=(900, 1))
+    for name in calls:
+        monkeypatch.setattr(metrics.np, name, counting(name))
+    mmd(x, y, scales=scales)
+    # One product per tile: 10 upper-triangle tiles per cloud, 4 x 4 across.
+    assert calls["matmul"] == 36
+    assert calls["exp"] <= exps_per_tile * calls["matmul"]
+    calls.update(exp=0, matmul=0)
+    monkeypatch.setattr(metrics, "_EXP_UNDERFLOW", math.inf)
+    mmd(x, y, scales=scales)
+    assert calls["exp"] == exps_per_tile * calls["matmul"] == exps_per_tile * 36
 
 
 # ---------------------------------------------------------------------------
