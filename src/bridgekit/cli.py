@@ -66,15 +66,20 @@ def _sha256(path) -> str:
 
 def _environment() -> dict:
     """What a run's numbers depend on besides its inputs: versions, the BLAS
-    thread cap (None when no variable sets one) and this process's peak RSS."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    thread cap and this process's peak RSS. An entry that cannot be read (a
+    numpy without ``show_config(mode=...)``, no cap variable, or one that is
+    not a non-negative integer) is None."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy builds before the mode argument
+        blas = {}
     cap = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("BRIDGEKIT_THREADS"))
     max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "blas_thread_cap": int(cap) if cap is not None and cap.isdigit() else cap,
+        "blas_thread_cap": int(cap) if cap and cap.isascii() and cap.isdigit() else None,
         "peak_rss_mb": max_rss / (2**20 if sys.platform == "darwin" else 2**10),
     }
 

@@ -341,8 +341,6 @@ class _TimeConditionedNet:
             spec.activation, bare_last=True, rng=rng, zero_last=True,
         )
         self._bufs = np.empty((2, 0, h))  # layer buffers and scratch, see _buffers
-        self._mask_buf = np.empty(0)  # dropout masks of the last train-mode forward
-        self._grad_views = (None, None)  # (vector, its layer views), see backward
         # Move the drawn values into one vector and make every layer a view of it.
         self.theta = np.concatenate([a.ravel() for blk in self._blocks()
                                      for wb in zip(blk.weights, blk.biases) for a in wb])
@@ -402,9 +400,7 @@ class _TimeConditionedNet:
     def forward(self, t, x, extra=None, train=False, rng=None, keep_cache=True, emb=None):
         """Returns (output, cache).
 
-        A train-mode cache holds views of this network's dropout-mask buffer,
-        so it serves ``backward`` only until the network's next train-mode
-        forward. With ``keep_cache=False`` an eval-mode pass takes the cache-free
+        With ``keep_cache=False`` an eval-mode pass takes the cache-free
         inference path, which checks every layer, and the cache is None. A
         pass that keeps a cache checks nothing; a caller that finds its
         output non-finite calls ``check_finite`` to name the layer. ``emb``
@@ -421,12 +417,9 @@ class _TimeConditionedNet:
         mx = mt = mh = None
         if train and rate > 0.0:
             # One draw for the masks of every activated layer: the same stream
-            # as one draw per layer in forward order, into a reused buffer.
-            shape = (X_ENC_LAYERS + T_ENC_LAYERS + HEAD_LAYERS - 1, n, self.spec.hidden_dim)
-            size = shape[0] * shape[1] * shape[2]
-            if size > self._mask_buf.size:
-                self._mask_buf = np.empty(size)
-            masks = rng.random(out=self._mask_buf[:size].reshape(shape))
+            # as one draw per layer in forward order.
+            masks = rng.random((X_ENC_LAYERS + T_ENC_LAYERS + HEAD_LAYERS - 1, n,
+                                self.spec.hidden_dim))
             np.greater_equal(masks, rate, out=masks)
             masks *= 1.0 / (1.0 - rate)  # keep / (1 - rate), bit for bit
             head_from = X_ENC_LAYERS + T_ENC_LAYERS
@@ -478,23 +471,13 @@ class _TimeConditionedNet:
         hx = self.x_enc.forward(net_in, (a, b), "x_enc")  # an odd layer count leaves hx in a
         return self.head.forward(hx, (b, a), "head", first=(w0[:, :h], t_bias))
 
-    def backward(self, cache, grad_out, out=None) -> np.ndarray:
-        """Parameter gradient, one vector laid out like ``theta``, from an
-        output cotangent: written into ``out`` and returned, or a fresh
-        vector when ``out`` is None. The layer views of the last ``out`` are
-        kept, so a caller that passes the same vector builds them once."""
+    def backward(self, cache, grad_out) -> np.ndarray:
+        """Parameter gradient, one fresh vector laid out like ``theta``, from
+        an output cotangent."""
         cx, ct, ch = cache
         h = self.spec.hidden_dim
-        if out is None:
-            grad = np.empty_like(self.theta)
-            views = self._layer_views(grad)
-        else:
-            if out.shape != self.theta.shape or out.dtype != self.theta.dtype:
-                raise ValueError(f"out must be a float64 vector of {self.theta.size} values")
-            if self._grad_views[0] is not out:
-                self._grad_views = (out, self._layer_views(out))
-            grad, views = self._grad_views
-        gx, gt, gh = views
+        grad = np.empty_like(self.theta)
+        gx, gt, gh = self._layer_views(grad)
         g_joint = self.head.backward(ch, grad_out, gh)
         # Nothing uses the gradient wrt the state or the time features.
         self.x_enc.backward(cx, g_joint[:, :h], gx, input_grad=False)

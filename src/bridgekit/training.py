@@ -204,16 +204,13 @@ def loss_batch(
     lambda_value: float = 1.0,
     train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
-    grads_out=(None, None),
 ):
     """Mean squared residual against the bridge drift plus the ||m||^2 term.
 
     Returns (LossBreakdown, drift parameter grads, correction parameter
-    grads); the grads are written into the vectors ``grads_out`` when given,
-    fresh vectors otherwise. Gradients flow into the drift net only through
-    its own output; the correction net sees the drift value as a constant.
-    When the loss is not finite because a layer output is not, NumericsError
-    names the layer.
+    grads). Gradients flow into the drift net only through its own output;
+    the correction net sees the drift value as a constant. When the loss is
+    not finite because a layer output is not, NumericsError names the layer.
     """
     if len(batch) == 0:
         raise DataError("empty training batch")
@@ -247,8 +244,8 @@ def loss_batch(
 
     d_b = -2.0 * resid / n
     d_m = (-2.0 * resid + 2.0 * lam[:, None] * m_out) / n
-    grads_drift = drift.backward(b_cache, d_b, out=grads_out[0])
-    grads_doob = doob.backward(m_cache, d_m, out=grads_out[1])
+    grads_drift = drift.backward(b_cache, d_b)
+    grads_doob = doob.backward(m_cache, d_m)
     return breakdown, grads_drift, grads_doob
 
 
@@ -302,9 +299,6 @@ def train(
     ema_m = EmaTracker(doob.theta, decay=config.ema_decay)
 
     trace: list[LossBreakdown] = []
-    # Gradient vectors reused by every iteration, so that the loop hands no
-    # large block back to the allocator.
-    grads_out = (np.empty_like(drift.theta), np.empty_like(doob.theta))
     # A non-finite value surfaces as the NumericsError below, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(config.n_iters):
@@ -315,7 +309,6 @@ def train(
                 lambda_value=config.lambda_value,
                 train_mode=True,
                 rng=dropout,
-                grads_out=grads_out,
             )
             if not math.isfinite(breakdown.total):
                 raise NumericsError(f"non-finite loss at iteration {it}: {breakdown}")

@@ -127,6 +127,8 @@ def test_manifest_records_the_environment(moon_csv, monkeypatch, tmp_path):
         monkeypatch.delenv(var, raising=False)
     cases = [({}, None), ({"BRIDGEKIT_THREADS": "3"}, 3),
              ({"OPENBLAS_NUM_THREADS": "2", "BRIDGEKIT_THREADS": "3"}, 2)]
+    # A value that is not a non-negative integer is recorded as null.
+    cases += [({"OPENBLAS_NUM_THREADS": bad}, None) for bad in ("", " 2", "auto", "-1", "\u00b2")]
     for i, (variables, cap) in enumerate(cases):
         for var, value in variables.items():
             monkeypatch.setenv(var, value)
@@ -134,6 +136,18 @@ def test_manifest_records_the_environment(moon_csv, monkeypatch, tmp_path):
         assert run_cli("generate", "--dataset", "moon", "--n", 5, "--seed", 1, "--out", out) == 0
         manifest = json.loads((tmp_path / f"g{i}.csv.manifest.json").read_text())
         assert manifest["environment"]["blas_thread_cap"] == cap
+
+
+def test_manifest_without_show_config_modes_records_null_blas(monkeypatch, tmp_path):
+    def show_config():  # numpy builds before the mode argument take none
+        return None
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    out = tmp_path / "g.csv"
+    assert run_cli("generate", "--dataset", "moon", "--n", 5, "--seed", 1, "--out", out) == 0
+    env = json.loads((tmp_path / "g.csv.manifest.json").read_text())["environment"]
+    assert env["blas"] == {"name": None, "version": None}
+    assert env["numpy"] == np.__version__
 
 
 def test_generate_gauss_with_shift(tmp_path):

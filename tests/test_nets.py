@@ -353,43 +353,6 @@ def test_backward_returns_one_vector_in_param_order():
     np.testing.assert_array_equal(grad[-3:], [4.0, 4.0, 4.0])
 
 
-def test_backward_into_a_given_vector_matches_a_fresh_one():
-    net = randomize(DriftNet(small_spec(dropout_rate=0.2)), 91)
-    x = np.random.default_rng(92).normal(size=(5, 3))
-    v = np.random.default_rng(93).normal(size=(5, 3))
-    _, cache = net.forward(np.random.default_rng(94).random(5), x, train=True,
-                           rng=np.random.default_rng(95))
-    fresh = net.backward(cache, v.copy())
-    buf = np.full(net.theta.size, np.nan)
-    for _ in range(2):  # the second call reuses the layer views of buf
-        assert net.backward(cache, v.copy(), out=buf) is buf
-        assert np.array_equal(buf, fresh)
-    # Without out, each call still returns a vector of its own.
-    again = net.backward(cache, v.copy())
-    assert np.array_equal(again, fresh) and not np.shares_memory(again, fresh)
-    with pytest.raises(ValueError, match="out must be"):
-        net.backward(cache, v.copy(), out=np.empty(net.theta.size - 1))
-
-
-def test_train_mode_forwards_reuse_one_mask_buffer():
-    net = randomize(DriftNet(small_spec(dropout_rate=0.3)), 96)
-    x = np.random.default_rng(97).normal(size=(7, 3))
-    t = np.random.default_rng(98).random(7)
-    rng = np.random.default_rng(99)
-
-    def masks_of(cache):
-        return [mask for block in cache for _, _, mask in block if mask is not None]
-
-    first = [m.copy() for m in masks_of(net.forward(t, x, train=True, rng=rng)[1])]
-    second = masks_of(net.forward(t, x, train=True, rng=rng)[1])
-    assert all(np.shares_memory(m, net._mask_buf) for m in second)
-    assert any(not np.array_equal(a, b) for a, b in zip(first, second))
-    # A smaller batch draws into the front of the same buffer.
-    buf = net._mask_buf
-    net.forward(t[:3], x[:3], train=True, rng=rng)
-    assert net._mask_buf is buf
-
-
 # ---------------------------------------------------------------------------
 # Cache-free inference path
 # ---------------------------------------------------------------------------

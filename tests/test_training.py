@@ -229,44 +229,6 @@ def test_loss_under_another_schedule_does_not_reuse_the_batch_beta():
                 == loss_batch(bare, drift, doob, schedule)[0])
 
 
-def test_loss_batch_writes_grads_into_given_vectors():
-    drift, doob = small_nets()
-    cfg = TrainConfig(batch_size=8)
-    batch = sample_training_batch(GAUSS, cfg, np.random.default_rng(14))
-    b1, gd, gm = loss_batch(batch, drift, doob, cfg.schedule, train_mode=True,
-                            rng=np.random.default_rng(15))
-    out = (np.empty_like(drift.theta), np.empty_like(doob.theta))
-    b2, gd2, gm2 = loss_batch(batch, drift, doob, cfg.schedule, train_mode=True,
-                              rng=np.random.default_rng(15), grads_out=out)
-    assert b1 == b2 and gd2 is out[0] and gm2 is out[1]
-    assert np.array_equal(gd, gd2) and np.array_equal(gm, gm2)
-
-
-def test_train_reuses_two_gradient_vectors_bit_equally(monkeypatch):
-    import bridgekit.training as training
-
-    real = training.loss_batch
-    seen = []
-
-    def recording(*args, **kwargs):
-        result = real(*args, **kwargs)
-        seen.append(result[1:])  # kept alive, so no address is reused
-        return result
-
-    def fresh(*args, grads_out, **kwargs):
-        return real(*args, **kwargs)
-
-    cfg = TrainConfig(n_iters=20, batch_size=8, seed=7)
-    monkeypatch.setattr(training, "loss_batch", recording)
-    reused = train(GAUSS, cfg)
-    assert len(seen) == 20
-    assert all(gd is seen[0][0] and gm is seen[0][1] for gd, gm in seen)
-    monkeypatch.setattr(training, "loss_batch", fresh)
-    reference = train(GAUSS, cfg)
-    assert reused.drift.params().tobytes() == reference.drift.params().tobytes()
-    assert reused.doob.params().tobytes() == reference.doob.params().tobytes()
-
-
 def test_linear_in_t_lambda_mode():
     drift, doob = constant_output_nets(0.0, 1.0)
     t = np.array([0.25, 0.75])
