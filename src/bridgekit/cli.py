@@ -119,8 +119,7 @@ def cmd_generate(args) -> int:
                              f"only apply to --dataset gauss-pairs")
     elif args.dim is None:
         args.dim = 2
-    # Bad --shift cells, pair counts or shift lengths a generator rejects, and a
-    # --dim too large to allocate.
+    # Bad --shift cells, and pair counts or shift lengths a generator rejects.
     try:
         if args.dataset == "moon":
             noise = 0.05 if args.noise_std is None else args.noise_std
@@ -131,7 +130,7 @@ def cmd_generate(args) -> int:
         else:
             shift = None if args.shift is None else parse_row(args.shift, "--shift")
             ds = generate_gauss_pairs(args.n, d=args.dim, shift=shift, rng=rng)
-    except (ValueError, MemoryError) as exc:
+    except ValueError as exc:
         raise UsageError(f"generate --dataset {args.dataset}: {exc}") from None
     write_pairs(args.out, ds)
     _write_manifest(
@@ -224,6 +223,12 @@ def cmd_evaluate(args) -> int:
     for name in names:
         if name not in METRICS:
             raise DataError(f"unknown metric {name!r}; valid metrics: {', '.join(METRICS)}")
+    if pred.shape[1] != ref.shape[1]:
+        raise DataError(f"--pred and --ref need equal dimensions; got {pred.shape[1]} vs "
+                        f"{ref.shape[1]}")
+    if "mmd" in names and min(len(pred), len(ref)) < 2:
+        raise DataError(f"mmd needs at least 2 points per cloud; got {len(pred)} in --pred "
+                        f"and {len(ref)} in --ref")
 
     lines, values, diagnostics = [], [], {}
     for name in names:
@@ -249,10 +254,6 @@ def cmd_evaluate(args) -> int:
                 )
             value = rmsd(pred, ref)
         else:
-            if pred.shape[1] != ref.shape[1]:
-                raise DataError(
-                    f"ps_l2 needs equal dimensions; got {pred.shape[1]} vs {ref.shape[1]}"
-                )
             value = ps_l2(pred, ref)
         lines.append(f"{name} = {value:.17g}")
         values.append(value)
@@ -409,10 +410,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # sizes from the command line too large to allocate
+        print(f"usage error: {args.command}: out of memory ({exc})", file=sys.stderr)
+        return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (DataError, FileNotFoundError, UnicodeDecodeError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:  # OSError: a path not usable
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except BridgekitError as exc:

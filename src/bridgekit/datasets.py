@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +40,6 @@ class AlignedDataset:
 
     x0: np.ndarray  # (N, d)
     x1: np.ndarray  # (N, d)
-    split: Optional[str] = None
 
     def __post_init__(self):
         self.x0 = np.atleast_2d(np.asarray(self.x0, dtype=float))

@@ -16,26 +16,29 @@ A network owns its parameters as one contiguous float64 vector ``theta``,
 laid out block by block (x_enc, t_enc, head), layer by layer, W then b; every
 layer's weight and bias are views of it. ``backward`` returns the gradient as
 one vector in the same layout, so the optimizer, the EMA and the model file
-each handle one vector per network and only this module knows the layers.
+each handle one vector per network and only this module knows the layers;
+``params().shape_table`` names the arrays in that layout.
 
-Each block runs one layer pass with an optional cache. Without one (calling
-a network in eval mode) every hidden layer writes into buffers the network
-owns and reuses across calls, and checks its output for finite values; at a
-scalar ``t`` the time branch runs on one row and is folded into the first
-head layer's bias, and the returned array is always fresh. With a cache
-(training, or ``forward`` in eval mode) each layer applies its activation in
-place and keeps its input, the activation's derivative (computed alongside
-the activation) and its dropout mask, so ``backward`` evaluates no
-activation again; all of one forward's dropout masks come from one draw, and
-nothing is checked until the caller sees a non-finite result and asks
-``check_finite`` which layer made it. The buffers make a network not
-re-entrant: one network object must not be called from two threads at once.
+Calling a network is always eval mode; a training pass is
+``forward(t, x, train=True, rng=...)``. Each block runs one layer pass with
+an optional cache. Without one (calling a network) every hidden layer writes
+into buffers the network owns and reuses across calls, and checks its output
+for finite values; at a scalar ``t`` the time branch runs on one row and is
+folded into the first head layer's bias, and the returned array is always
+fresh. With a cache (training, or ``forward`` in eval mode) each layer
+applies its activation in place and keeps its input, the activation's
+derivative (computed alongside the activation) and its dropout mask, so
+``backward`` evaluates no activation again; all of one forward's dropout
+masks come from one draw, and nothing is checked until the caller sees a
+non-finite result and asks ``check_finite`` which layer made it. The buffers
+make a network not re-entrant: one network object must not be called from
+two threads at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -162,46 +165,19 @@ class MlpSpec:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-            "hidden_dim": self.hidden_dim,
-            "time_embed_dim": self.time_embed_dim,
-            "activation": self.activation,
-            "dropout_rate": self.dropout_rate,
-            "uses_drift_input": self.uses_drift_input,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
         return cls(**d)
 
 
-class ParamSet:
-    """A named view of one network's flat parameter vector.
+class ParamSet(NamedTuple):
+    """A network's flat parameter vector and the name and shape of every
+    layer array laid out in it, in order."""
 
-    ``flat`` returns a copy; ``set_flat`` writes through to the network.
-    """
-
-    def __init__(self, vector: np.ndarray, shape_table: list[tuple[str, tuple[int, ...]]]):
-        self.vector = vector
-        self.shape_table = shape_table
-
-    @property
-    def n_params(self) -> int:
-        return self.vector.size
-
-    def flat(self) -> np.ndarray:
-        return self.vector.copy()
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=float)
-        if vec.size != self.n_params:
-            raise ValueError(f"expected {self.n_params} values, got {vec.size}")
-        self.vector[...] = vec.ravel()
-
-    def tobytes(self) -> bytes:
-        return self.vector.astype("<f8", copy=False).tobytes()
+    theta: np.ndarray
+    shape_table: list[tuple[str, tuple[int, ...]]]
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +362,16 @@ class _TimeConditionedNet:
         t = np.asarray(t, dtype=float)
         if t.ndim != 0 and t.shape != (x.shape[0],):
             raise ValueError("t must be a scalar or one value per row of x")
-        if self.spec.uses_drift_input:
-            if extra is None:
-                raise ValueError("this network expects a drift value input")
-            extra = np.asarray(extra, dtype=float)
-            if extra.shape != x.shape:
-                raise ValueError("drift value input must match the state shape")
-            net_in = np.concatenate([x, extra], axis=1)
-        else:
-            net_in = x
-        return t, net_in
+        if not self.spec.uses_drift_input:
+            if extra is not None:
+                raise ValueError("this network takes no drift value input")
+            return t, x
+        if extra is None:
+            raise ValueError("this network expects a drift value input")
+        extra = np.asarray(extra, dtype=float)
+        if extra.shape != x.shape:
+            raise ValueError("drift value input must match the state shape")
+        return t, np.concatenate([x, extra], axis=1)
 
     def forward(self, t, x, extra=None, train=False, rng=None, keep_cache=True, emb=None):
         """Returns (output, cache).
@@ -493,8 +469,9 @@ class DriftNet(_TimeConditionedNet):
             raise ValueError("drift networks do not take a drift input")
         super().__init__(spec, rng)
 
-    def __call__(self, t, x, train=False, rng=None):
-        out, _ = self.forward(t, x, train=train, rng=rng, keep_cache=False)
+    def __call__(self, t, x):
+        """Eval-mode output b(t, x)."""
+        out, _ = self.forward(t, x, keep_cache=False)
         return out
 
 
@@ -505,9 +482,10 @@ class DoobNet(_TimeConditionedNet):
     ever propagated from this network back into the drift parameters.
     """
 
-    def __call__(self, t, x, b_value=None, train=False, rng=None):
-        extra = b_value if self.spec.uses_drift_input else None
-        out, _ = self.forward(t, x, extra=extra, train=train, rng=rng, keep_cache=False)
+    def __call__(self, t, x, b_value=None):
+        """Eval-mode output m(t, x[, b]); ``b_value`` is required exactly when
+        ``spec.uses_drift_input`` is set."""
+        out, _ = self.forward(t, x, extra=b_value, keep_cache=False)
         return out
 
 

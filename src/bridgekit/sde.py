@@ -97,10 +97,6 @@ class DiffusivitySchedule:
         )
         return np.asarray(self.g_values)[idx]
 
-    def g_squared(self, t):
-        g = self.g(t)
-        return g * g
-
     def cum_beta(self, t):
         """beta(t) = integral of g_s^2 from 0 to t, in closed form."""
         t = _check_time_domain(t)
@@ -364,7 +360,6 @@ def simulate_sde(
 
 def simulate_conditioned(
     x0,
-    x1,
     drift_model,
     doob_model,
     schedule: DiffusivitySchedule,
@@ -376,13 +371,10 @@ def simulate_conditioned(
 
     ``drift_model`` is called as ``drift_model(t, x)`` and ``doob_model`` as
     ``doob_model(t, x, b_value)``; the correction term receives the drift value
-    as a constant input. ``x1`` fixes the expected dimension (the conditioning
-    itself lives inside the models) and is validated against ``x0``.
+    as a constant input. The endpoint conditioning lives inside the models, so
+    no target point is passed; ``simulate_sde`` checks that each drift value
+    has the state's shape.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    x1 = np.asarray(x1, dtype=float)
-    if x1.shape[-1] != x0.shape[-1]:
-        raise ValueError(f"x0 has dimension {x0.shape[-1]} but x1 has {x1.shape[-1]}")
 
     def total_drift(t, x):
         b = np.asarray(drift_model(t, x), dtype=float)

@@ -73,7 +73,7 @@ def save_model(
         "layer_table": _layer_table(nets),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(net.params().tobytes() for net in nets)
+    payload = b"".join(net.theta.astype("<f8", copy=False).tobytes() for net in nets)
     body = MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes + payload
     digest = hashlib.sha256(body).digest()
     with open(path, "wb") as fh:

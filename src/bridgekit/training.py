@@ -12,9 +12,9 @@ inference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 import numpy as np
 
@@ -76,20 +76,8 @@ class TrainConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_CONFIG_TYPES = {
-    "batch_size": int,
-    "n_iters": int,
-    "lr_drift": float,
-    "lr_doob": float,
-    "lambda_mode": str,
-    "lambda_value": float,
-    "t_clip": float,
-    "times_per_pair": int,
-    "g": float,
-    "ema_decay": float,
-    "seed": int,
-    "eval_every": int,
-}
+# Every TrainConfig field, in declaration order, with its type (int, float or str).
+_CONFIG_TYPES = get_type_hints(TrainConfig)
 
 
 def parse_config(text: str, source: str = "<config>") -> TrainConfig:
@@ -149,9 +137,8 @@ class TrainingBatch:
     x1: np.ndarray  # (n, d)
     t: np.ndarray  # (n,)
     x_t: np.ndarray  # (n, d)
-    # cum_beta(t) under ``schedule``, when the batch was drawn under one.
-    schedule: Optional[DiffusivitySchedule] = None
-    beta_t: Optional[np.ndarray] = None  # (n,)
+    schedule: DiffusivitySchedule  # the schedule t and x_t were drawn under
+    beta_t: np.ndarray  # (n,) schedule.cum_beta(t)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -199,7 +186,6 @@ def loss_batch(
     batch: TrainingBatch,
     drift: DriftNet,
     doob: DoobNet,
-    schedule: DiffusivitySchedule,
     lambda_mode: str = "constant",
     lambda_value: float = 1.0,
     train_mode: bool = False,
@@ -207,16 +193,18 @@ def loss_batch(
 ):
     """Mean squared residual against the bridge drift plus the ||m||^2 term.
 
-    Returns (LossBreakdown, drift parameter grads, correction parameter
-    grads). Gradients flow into the drift net only through its own output;
-    the correction net sees the drift value as a constant. When the loss is
-    not finite because a layer output is not, NumericsError names the layer.
+    The drift target is that of the batch's own schedule, from the
+    ``beta_t`` the batch carries. Returns (LossBreakdown, drift parameter
+    grads, correction parameter grads). Gradients flow into the drift net
+    only through its own output; the correction net sees the drift value as
+    a constant. When the loss is not finite because a layer output is not,
+    NumericsError names the layer.
     """
     if len(batch) == 0:
         raise DataError("empty training batch")
     n = len(batch)
-    beta_t = batch.beta_t if batch.schedule == schedule else None
-    target = bridge_drift_target(batch.x_t, batch.x1, batch.t, schedule, beta_t=beta_t)
+    target = bridge_drift_target(batch.x_t, batch.x1, batch.t, batch.schedule,
+                                 beta_t=batch.beta_t)
 
     emb = None
     if drift.spec.time_embed_dim == doob.spec.time_embed_dim:
@@ -258,8 +246,8 @@ def loss_batch(
 class TrainResult:
     drift: DriftNet  # EMA parameters: the inference model
     doob: DoobNet  # EMA parameters
-    trace: list[LossBreakdown] = field(default_factory=list)
-    config: Optional[TrainConfig] = None
+    trace: list[LossBreakdown]
+    config: TrainConfig
 
 
 def train(
@@ -291,7 +279,6 @@ def train(
     init_d, init_m, batches, dropout = [np.random.default_rng(s) for s in ss.spawn(4)]
     drift = DriftNet(drift_spec, rng=init_d)
     doob = DoobNet(doob_spec, rng=init_m)
-    schedule = config.schedule
 
     opt_d = AdamW(drift.theta, lr=config.lr_drift)
     opt_m = AdamW(doob.theta, lr=config.lr_doob)
@@ -304,7 +291,7 @@ def train(
         for it in range(config.n_iters):
             batch = sample_training_batch(dataset, config, batches)
             breakdown, grads_d, grads_m = loss_batch(
-                batch, drift, doob, schedule,
+                batch, drift, doob,
                 lambda_mode=config.lambda_mode,
                 lambda_value=config.lambda_value,
                 train_mode=True,
@@ -334,9 +321,8 @@ def write_loss_trace(path, trace: list[LossBreakdown]) -> None:
 
 
 def save_train_result(path, result: TrainResult) -> None:
-    cfg = result.config.to_dict() if result.config is not None else None
-    schedule = result.config.schedule if result.config is not None else DiffusivitySchedule.constant(1.0)
-    save_model(path, result.drift, result.doob, schedule, config=cfg)
+    save_model(path, result.drift, result.doob, result.config.schedule,
+               config=result.config.to_dict())
 
 
 def export_drift(model_path, out_path) -> LoadedModel:

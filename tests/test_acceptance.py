@@ -108,17 +108,16 @@ def test_criterion_2_gradient_oracle():
         spec = MlpSpec(input_dim=2, output_dim=2, hidden_dim=6, time_embed_dim=8,
                        activation=activation)
         net = DriftNet(spec, rng=np.random.default_rng(seed))
-        ps = net.params()
-        ps.set_flat(np.random.default_rng(seed + 10).normal(0, 0.3, ps.n_params))
-        base = ps.flat().copy()
+        net.theta[...] = np.random.default_rng(seed + 10).normal(0, 0.3, net.theta.size)
+        base = net.theta.copy()
         x = np.random.default_rng(seed + 20).normal(size=(4, 2))
         t = np.random.default_rng(seed + 21).random(4)
         v = np.random.default_rng(seed + 22).normal(size=(4, 2))
 
         def value(vec):
-            ps.set_flat(vec)
+            net.theta[...] = vec
             out, _ = net.forward(t, x)
-            ps.set_flat(base)
+            net.theta[...] = base
             return float(np.sum(out * v))
 
         out, cache = net.forward(t, x)
@@ -137,17 +136,15 @@ def test_criterion_2_gradient_oracle():
     drift = DriftNet(dspec, rng=np.random.default_rng(7))
     doob = DoobNet(mspec, rng=np.random.default_rng(8))
     for net, s in ((drift, 9), (doob, 10)):
-        ps = net.params()
-        ps.set_flat(np.random.default_rng(s).normal(0, 0.3, ps.n_params))
-    _, gd, gm = loss_batch(batch, drift, doob, cfg.schedule, lambda_value=0.7)
+        net.theta[...] = np.random.default_rng(s).normal(0, 0.3, net.theta.size)
+    _, gd, gm = loss_batch(batch, drift, doob, lambda_value=0.7)
     for net, grads in ((drift, gd), (doob, gm)):
-        ps = net.params()
-        base = ps.flat().copy()
+        base = net.theta.copy()
 
         def value(vec):
-            ps.set_flat(vec)
-            b, _, _ = loss_batch(batch, drift, doob, cfg.schedule, lambda_value=0.7)
-            ps.set_flat(base)
+            net.theta[...] = vec
+            b, _, _ = loss_batch(batch, drift, doob, lambda_value=0.7)
+            net.theta[...] = base
             return b.total
 
         worst = max(worst, _directional_worst(value, grads, base, n_dirs=20))

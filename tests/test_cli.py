@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bridgekit import AlignedDataset, TrainConfig, read_cloud, read_pairs, write_pairs
-from bridgekit.cli import main
+from bridgekit.cli import METRICS, main
 from bridgekit.training import format_config
 
 
@@ -374,6 +374,90 @@ def test_evaluate_rmsd_shape_mismatch_is_explained(tmp_path, capsys):
     b.write_text("x_0\n1\n2\n")
     assert run_cli("evaluate", "--pred", a, "--ref", b, "--metrics", "rmsd") == 3
     assert "index-aligned" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_evaluate_dimension_mismatch_is_a_data_error(tmp_path, capsys, metric):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("x_0,x_1\n1,2\n3,4\n5,6\n")
+    b.write_text("x_0,x_1,x_2\n1,2,3\n4,5,6\n7,8,9\n")
+    assert run_cli("evaluate", "--pred", a, "--ref", b, "--metrics", metric) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "equal dimensions; got 2 vs 3" in err
+
+
+@pytest.mark.parametrize("side", ["pred", "ref"])
+def test_evaluate_mmd_on_a_one_point_cloud_is_a_data_error(tmp_path, capsys, side):
+    one = tmp_path / "one.csv"
+    many = tmp_path / "many.csv"
+    one.write_text("x_0\n1\n")
+    many.write_text("x_0\n1\n2\n3\n")
+    pred, ref = (one, many) if side == "pred" else (many, one)
+    report = tmp_path / "report.txt"
+    assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "ps_l2,mmd",
+                   "--out", report) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "mmd needs at least 2 points" in err
+    assert not report.exists()
+    # The row count matters to mmd only.
+    assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "ps_l2") == 0
+
+
+@pytest.mark.parametrize("command", ["generate", "sample", "evaluate"])
+def test_out_naming_a_directory_is_a_data_error(tmp_path, capsys, request, command):
+    cloud = tmp_path / "c.csv"
+    cloud.write_text("x_0,x_1\n1,2\n3,4\n")
+    if command == "generate":
+        argv = ["generate", "--dataset", "moon", "--n", 10]
+    elif command == "sample":
+        argv = ["sample", "--model", request.getfixturevalue("trained"), "--data", cloud,
+                "--steps", 2]
+    else:
+        argv = ["evaluate", "--pred", cloud, "--ref", cloud, "--metrics", "ps_l2"]
+    out = tmp_path / "taken"
+    out.mkdir()
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("data error:") and str(out) in err
+
+
+def test_train_out_naming_an_existing_file_is_a_data_error(tmp_path, moon_csv, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(tiny_config_text())
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run_cli("train", "--data", moon_csv, "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert out.read_text() == "not a directory\n"
+
+
+def test_sample_too_many_steps_to_allocate_is_a_usage_error(tmp_path, trained, capsys,
+                                                            monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array with shape "
+                          "(1, 100000000001, 2)")
+
+    # Stands in for the real allocation, which this test must never attempt.
+    monkeypatch.setattr("bridgekit.cli.simulate_sde", out_of_memory)
+    data = tmp_path / "starts.csv"
+    data.write_text("x_0,x_1\n0,0\n")
+    out = tmp_path / "t.csv"
+    assert run_cli("sample", "--model", trained, "--data", data, "--steps", 100000000000,
+                   "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_sample_with_negligible_diffusivity_has_identical_poses(tmp_path, moon_csv):

@@ -15,8 +15,7 @@ def small_spec(**overrides):
 
 
 def randomize(net, seed, scale=0.3):
-    ps = net.params()
-    ps.set_flat(np.random.default_rng(seed).normal(0.0, scale, ps.n_params))
+    net.theta[...] = np.random.default_rng(seed).normal(0.0, scale, net.theta.size)
     return net
 
 
@@ -82,9 +81,9 @@ def test_eval_mode_is_deterministic():
 def test_dropout_mask_determinism():
     net = randomize(DriftNet(small_spec(dropout_rate=0.3)), 5)
     x = np.random.default_rng(6).normal(size=(16, 3))
-    a = net(0.2, x, train=True, rng=np.random.default_rng(99))
-    b = net(0.2, x, train=True, rng=np.random.default_rng(99))
-    c = net(0.2, x, train=True, rng=np.random.default_rng(100))
+    a, _ = net.forward(0.2, x, train=True, rng=np.random.default_rng(99))
+    b, _ = net.forward(0.2, x, train=True, rng=np.random.default_rng(99))
+    c, _ = net.forward(0.2, x, train=True, rng=np.random.default_rng(100))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -92,15 +91,17 @@ def test_dropout_mask_determinism():
 def test_train_mode_requires_rng_when_dropout_active():
     net = randomize(DriftNet(small_spec(dropout_rate=0.1)), 7)
     with pytest.raises(ValueError):
-        net(0.5, np.zeros((2, 3)), train=True)
+        net.forward(0.5, np.zeros((2, 3)), train=True)
 
 
-def test_doob_ignores_drift_value_when_disabled():
+def test_doob_rejects_drift_value_when_disabled():
     net = randomize(DoobNet(small_spec(uses_drift_input=False)), 8)
     x = np.random.default_rng(9).normal(size=(4, 3))
-    out_zero = net(0.4, x, b_value=np.zeros_like(x))
-    out_big = net(0.4, x, b_value=1e6 * np.ones_like(x))
-    assert np.array_equal(out_zero, out_big)
+    with pytest.raises(ValueError, match="takes no drift value input"):
+        net(0.4, x, b_value=np.zeros_like(x))
+    with pytest.raises(ValueError, match="takes no drift value input"):
+        net.forward(0.4, x, extra=np.zeros_like(x), train=True, rng=np.random.default_rng(0))
+    assert net(0.4, x).shape == x.shape
 
 
 def test_doob_uses_drift_value_when_enabled():
@@ -240,16 +241,15 @@ def directional_check(value_fn, grad_flat, base, n_dirs=20, h=1e-4, seed=21):
 @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
 def test_drift_gradients_match_finite_differences(activation):
     net = randomize(DriftNet(small_spec(activation=activation)), 30)
-    ps = net.params()
-    base = ps.flat().copy()
+    base = net.theta.copy()
     x = np.random.default_rng(31).normal(size=(4, 3))
     t = np.random.default_rng(32).random(4)
     v = np.random.default_rng(33).normal(size=(4, 3))
 
     def value(vec):
-        ps.set_flat(vec)
+        net.theta[...] = vec
         out, _ = net.forward(t, x)
-        ps.set_flat(base)
+        net.theta[...] = base
         return float(np.sum(out * v))
 
     out, cache = net.forward(t, x)
@@ -259,17 +259,16 @@ def test_drift_gradients_match_finite_differences(activation):
 
 def test_doob_gradients_match_finite_differences():
     net = randomize(DoobNet(small_spec(uses_drift_input=True)), 40)
-    ps = net.params()
-    base = ps.flat().copy()
+    base = net.theta.copy()
     x = np.random.default_rng(41).normal(size=(4, 3))
     b_val = np.random.default_rng(42).normal(size=(4, 3))
     t = np.random.default_rng(43).random(4)
     v = np.random.default_rng(44).normal(size=(4, 3))
 
     def value(vec):
-        ps.set_flat(vec)
+        net.theta[...] = vec
         out, _ = net.forward(t, x, extra=b_val)
-        ps.set_flat(base)
+        net.theta[...] = base
         return float(np.sum(out * v))
 
     out, cache = net.forward(t, x, extra=b_val)
@@ -279,16 +278,15 @@ def test_doob_gradients_match_finite_differences():
 
 def test_gradients_with_fixed_dropout_masks():
     net = randomize(DriftNet(small_spec(dropout_rate=0.2)), 50)
-    ps = net.params()
-    base = ps.flat().copy()
+    base = net.theta.copy()
     x = np.random.default_rng(51).normal(size=(4, 3))
     t = np.random.default_rng(52).random(4)
     v = np.random.default_rng(53).normal(size=(4, 3))
 
     def value(vec):
-        ps.set_flat(vec)
+        net.theta[...] = vec
         out, _ = net.forward(t, x, train=True, rng=np.random.default_rng(777))
-        ps.set_flat(base)
+        net.theta[...] = base
         return float(np.sum(out * v))
 
     out, cache = net.forward(t, x, train=True, rng=np.random.default_rng(777))
@@ -317,23 +315,13 @@ def test_drift_net_rejects_drift_input_spec():
         DriftNet(small_spec(uses_drift_input=True))
 
 
-def test_param_set_flat_round_trip():
-    net = randomize(DriftNet(small_spec()), 60)
-    ps = net.params()
-    flat = ps.flat()
-    ps.set_flat(flat * 2.0)
-    assert np.array_equal(net.params().flat(), flat * 2.0)
-    with pytest.raises(ValueError):
-        ps.set_flat(flat[:-1])
-
-
 def test_layers_are_views_of_the_flat_vector():
     net = randomize(DoobNet(small_spec(uses_drift_input=True)), 61)
     x = np.random.default_rng(62).normal(size=(5, 3))
     b_val = np.random.default_rng(63).normal(size=(5, 3))
     before, _ = net.forward(0.3, x, extra=b_val)
-    ps = net.params()
-    ps.set_flat(ps.flat() * 1.5)
+    assert net.params().theta is net.theta
+    net.theta *= 1.5
     after, _ = net.forward(0.3, x, extra=b_val)
     assert not np.allclose(before, after)
     assert all(np.shares_memory(a, net.theta) for blk in (net.x_enc, net.t_enc, net.head)
@@ -342,14 +330,13 @@ def test_layers_are_views_of_the_flat_vector():
 
 def test_backward_returns_one_vector_in_param_order():
     net = randomize(DriftNet(small_spec()), 64)
-    ps = net.params()
     x = np.random.default_rng(65).normal(size=(4, 3))
     out, cache = net.forward(np.random.default_rng(66).random(4), x)
     grad = net.backward(cache, np.ones_like(out))
-    assert grad.shape == (ps.n_params,)
+    assert grad.shape == net.theta.shape
     assert not np.shares_memory(grad, net.theta)
     # The last head layer's bias gradient is the column sum of the cotangent.
-    assert ps.shape_table[-1] == ("head/2/b", (3,))
+    assert net.params().shape_table[-1] == ("head/2/b", (3,))
     np.testing.assert_array_equal(grad[-3:], [4.0, 4.0, 4.0])
 
 

@@ -109,7 +109,7 @@ def _doob_layout():
     """Parameter vector and per-layer sizes of the default d = 2 DoobNet."""
     net = DoobNet(make_doob_spec(2), rng=np.random.default_rng(0))
     sizes = [int(np.prod(shape)) for _, shape in net.params().shape_table]
-    return net.params().flat(), sizes
+    return net.theta.copy(), sizes
 
 
 def test_flat_updates_bit_equal_per_array_reference():

@@ -31,13 +31,12 @@ def make_nets(seed=0):
     drift = DriftNet(dspec, rng=np.random.default_rng(seed))
     doob = DoobNet(mspec, rng=np.random.default_rng(seed + 1))
     for net, s in ((drift, 10), (doob, 11)):
-        ps = net.params()
-        ps.set_flat(np.random.default_rng(s).normal(size=ps.n_params))
+        net.theta[...] = np.random.default_rng(s).normal(size=net.theta.size)
     return drift, doob
 
 
 def param_hash(net):
-    return hashlib.sha256(net.params().tobytes()).hexdigest()
+    return hashlib.sha256(net.theta.tobytes()).hexdigest()
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -112,9 +111,9 @@ def test_export_drops_correction_parameters(tmp_path):
     assert exported.kind == "drift_only"
     assert exported.doob is None
     # Size check against the layer table: only the drift parameters remain.
-    doob_bytes = 8 * doob.params().n_params
+    doob_bytes = 8 * doob.theta.size
     assert out.stat().st_size <= full.stat().st_size - doob_bytes
-    assert exported.drift.params().n_params == drift.params().n_params
+    assert exported.drift.theta.size == drift.theta.size
     assert param_hash(exported.drift) == param_hash(drift)
 
 

@@ -14,7 +14,7 @@ from bridgekit import (
     train,
 )
 from bridgekit.errors import ConfigError, NumericsError
-from bridgekit.sde import DiffusivitySchedule, bridge_drift_target
+from bridgekit.sde import bridge_drift_target
 from bridgekit.training import (
     TrainingBatch,
     format_config,
@@ -33,8 +33,7 @@ def small_nets(uses_drift=True, seed=0, scale=0.3, dropout=0.1):
     drift = DriftNet(dspec, rng=np.random.default_rng(seed))
     doob = DoobNet(mspec, rng=np.random.default_rng(seed + 1))
     for net, s in ((drift, seed + 10), (doob, seed + 11)):
-        ps = net.params()
-        ps.set_flat(np.random.default_rng(s).normal(0, scale, ps.n_params))
+        net.theta[...] = np.random.default_rng(s).normal(0, scale, net.theta.size)
     return drift, doob
 
 
@@ -89,6 +88,13 @@ def constant_output_nets(b_const, m_const):
     return drift, doob
 
 
+def hand_batch(x0, x1, t, x_t):
+    """Rows (pair i, t[i]) built by hand, drawn under the default schedule
+    (g = 1)."""
+    schedule = TrainConfig().schedule
+    return TrainingBatch(np.arange(len(t)), x0, x1, t, x_t, schedule, schedule.cum_beta(t))
+
+
 def test_loss_arithmetic_example():
     # 1-D-style example embedded in 2-D: use a single coordinate by zeroing
     # the second. t = 0.5, g = 1, x_t = 0, x1 = 1 gives target 2; with
@@ -100,21 +106,17 @@ def test_loss_arithmetic_example():
     drift = DriftNet(dspec, rng=np.random.default_rng(0))
     doob = DoobNet(mspec, rng=np.random.default_rng(1))
     for net in (drift, doob):
-        ps = net.params()
-        ps.set_flat(np.zeros(ps.n_params))
+        net.theta[...] = 0.0
     drift.head.biases[-1][...] = -0.5
     doob.head.biases[-1][...] = 0.5
 
-    batch = TrainingBatch(
-        pair_index=np.array([0]),
+    batch = hand_batch(
         x0=np.array([[0.0]]),
         x1=np.array([[1.0]]),
         t=np.array([0.5]),
         x_t=np.array([[0.0]]),
     )
-    breakdown, _, _ = loss_batch(
-        batch, drift, doob, TrainConfig().schedule, lambda_value=1.0
-    )
+    breakdown, _, _ = loss_batch(batch, drift, doob, lambda_value=1.0)
     assert breakdown.regression == pytest.approx(4.0, abs=1e-12)
     assert breakdown.regularization == pytest.approx(0.25, abs=1e-12)
     assert breakdown.total == pytest.approx(4.25, abs=1e-12)
@@ -126,8 +128,8 @@ def test_loss_zero_when_drift_equals_target_and_m_zero():
     t = np.array([0.5, 0.5])
     x_t = np.array([[1.0, 1.0], [1.0, 1.0]])
     x1 = x_t.copy()  # target (x1 - x_t)/(1 - beta) = 0 = b + m
-    batch = TrainingBatch(np.array([0, 1]), x_t.copy(), x1, t, x_t)
-    breakdown, _, _ = loss_batch(batch, drift, doob, TrainConfig().schedule)
+    batch = hand_batch(x_t.copy(), x1, t, x_t)
+    breakdown, _, _ = loss_batch(batch, drift, doob)
     assert breakdown.total == 0.0
 
 
@@ -135,7 +137,7 @@ def test_loss_decomposition_nonnegative():
     drift, doob = small_nets()
     cfg = TrainConfig(batch_size=32)
     batch = sample_training_batch(GAUSS, cfg, np.random.default_rng(9))
-    breakdown, _, _ = loss_batch(batch, drift, doob, cfg.schedule, lambda_value=0.5)
+    breakdown, _, _ = loss_batch(batch, drift, doob, lambda_value=0.5)
     assert breakdown.total == breakdown.regression + breakdown.regularization
     assert breakdown.regression >= 0 and breakdown.regularization >= 0
 
@@ -158,16 +160,15 @@ def test_loss_gradients_match_finite_differences():
     drift, doob = small_nets(uses_drift=False)
     cfg = TrainConfig(batch_size=8)
     batch = sample_training_batch(GAUSS, cfg, np.random.default_rng(10))
-    breakdown, gd, gm = loss_batch(batch, drift, doob, cfg.schedule, lambda_value=0.7)
+    breakdown, gd, gm = loss_batch(batch, drift, doob, lambda_value=0.7)
 
     for net, grads in ((drift, gd), (doob, gm)):
-        ps = net.params()
-        base = ps.flat().copy()
+        base = net.theta.copy()
 
         def value(vec):
-            ps.set_flat(vec)
-            b, _, _ = loss_batch(batch, drift, doob, cfg.schedule, lambda_value=0.7)
-            ps.set_flat(base)
+            net.theta[...] = vec
+            b, _, _ = loss_batch(batch, drift, doob, lambda_value=0.7)
+            net.theta[...] = base
             return b.total
 
         assert fd_directional(value, base, grads) < 1e-4
@@ -180,17 +181,16 @@ def test_drift_gradient_with_conditioned_correction_net():
     drift, doob = small_nets(uses_drift=True)
     cfg = TrainConfig(batch_size=8)
     batch = sample_training_batch(GAUSS, cfg, np.random.default_rng(11))
-    _, gd, _ = loss_batch(batch, drift, doob, cfg.schedule, lambda_value=0.7)
+    _, gd, _ = loss_batch(batch, drift, doob, lambda_value=0.7)
 
     target = bridge_drift_target(batch.x_t, batch.x1, batch.t, cfg.schedule)
     m_frozen = doob(batch.t, batch.x_t, b_value=drift(batch.t, batch.x_t))
-    ps = drift.params()
-    base = ps.flat().copy()
+    base = drift.theta.copy()
 
     def value(vec):
-        ps.set_flat(vec)
+        drift.theta[...] = vec
         b = drift(batch.t, batch.x_t)
-        ps.set_flat(base)
+        drift.theta[...] = base
         resid = target - b - m_frozen
         return float(
             np.mean(np.sum(resid**2, axis=1)) + 0.7 * np.mean(np.sum(m_frozen**2, axis=1))
@@ -206,40 +206,25 @@ def test_gradient_partition_penalty_independent_of_theta():
     batch = sample_training_batch(GAUSS, cfg, np.random.default_rng(12))
 
     def penalty(theta_flat):
-        ps = drift.params()
-        base = ps.flat().copy()
-        ps.set_flat(theta_flat)
-        b, _, _ = loss_batch(batch, drift, doob, cfg.schedule, lambda_value=1.0)
-        ps.set_flat(base)
+        base = drift.theta.copy()
+        drift.theta[...] = theta_flat
+        b, _, _ = loss_batch(batch, drift, doob, lambda_value=1.0)
+        drift.theta[...] = base
         return b.regularization
 
-    base = drift.params().flat().copy()
+    base = drift.theta.copy()
     p0 = penalty(base)
     p1 = penalty(base + 0.1 * np.random.default_rng(13).normal(size=base.size))
     assert p0 == p1
-
-
-def test_loss_under_another_schedule_does_not_reuse_the_batch_beta():
-    cfg = TrainConfig(batch_size=8)
-    batch = sample_training_batch(GAUSS, cfg, np.random.default_rng(3))
-    bare = TrainingBatch(batch.pair_index, batch.x0, batch.x1, batch.t, batch.x_t)
-    drift, doob = small_nets(dropout=0.0)
-    for schedule in (cfg.schedule, DiffusivitySchedule.constant(2.0)):
-        assert (loss_batch(batch, drift, doob, schedule)[0]
-                == loss_batch(bare, drift, doob, schedule)[0])
 
 
 def test_linear_in_t_lambda_mode():
     drift, doob = constant_output_nets(0.0, 1.0)
     t = np.array([0.25, 0.75])
     x = np.zeros((2, 2))
-    batch = TrainingBatch(np.array([0, 1]), x, x.copy(), t, x.copy())
-    b_const, _, _ = loss_batch(
-        batch, drift, doob, TrainConfig().schedule, lambda_mode="constant", lambda_value=2.0
-    )
-    b_lin, _, _ = loss_batch(
-        batch, drift, doob, TrainConfig().schedule, lambda_mode="linear-in-t", lambda_value=2.0
-    )
+    batch = hand_batch(x, x.copy(), t, x.copy())
+    b_const, _, _ = loss_batch(batch, drift, doob, lambda_mode="constant", lambda_value=2.0)
+    b_lin, _, _ = loss_batch(batch, drift, doob, lambda_mode="linear-in-t", lambda_value=2.0)
     # ||m||^2 = 2 per row; constant: mean(2 lambda) = 4; linear: mean(2 t lambda) = 2.
     assert b_const.regularization == pytest.approx(4.0)
     assert b_lin.regularization == pytest.approx(np.mean(2.0 * 2.0 * t))
@@ -263,11 +248,11 @@ def test_training_is_seed_deterministic():
     cfg = TrainConfig(n_iters=30, batch_size=8, seed=123)
     a = train(GAUSS, cfg)
     b = train(GAUSS, cfg)
-    assert a.drift.params().tobytes() == b.drift.params().tobytes()
-    assert a.doob.params().tobytes() == b.doob.params().tobytes()
+    assert a.drift.theta.tobytes() == b.drift.theta.tobytes()
+    assert a.doob.theta.tobytes() == b.doob.theta.tobytes()
     assert [x.total for x in a.trace] == [x.total for x in b.trace]
     c = train(GAUSS, TrainConfig(n_iters=30, batch_size=8, seed=124))
-    assert a.drift.params().tobytes() != c.drift.params().tobytes()
+    assert a.drift.theta.tobytes() != c.drift.theta.tobytes()
 
 
 def test_training_reduces_loss():
