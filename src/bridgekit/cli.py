@@ -220,9 +220,13 @@ def cmd_evaluate(args) -> int:
     pred = _load_cloud_arg(args.pred, "--pred")
     ref = _load_cloud_arg(args.ref, "--ref")
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    for name in names:
+    if not names:
+        raise DataError(f"--metrics names no metric; valid metrics: {', '.join(METRICS)}")
+    for i, name in enumerate(names):
         if name not in METRICS:
             raise DataError(f"unknown metric {name!r}; valid metrics: {', '.join(METRICS)}")
+        if name in names[:i]:
+            raise DataError(f"metric {name!r} is named twice in --metrics")
     if pred.shape[1] != ref.shape[1]:
         raise DataError(f"--pred and --ref need equal dimensions; got {pred.shape[1]} vs "
                         f"{ref.shape[1]}")
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="starting points: cloud CSV or pair CSV (x0 side)")
     p.add_argument("--steps", type=_number(int, 1), default=100)
     p.add_argument("--n-poses", type=_number(int, 1), default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.add_argument("--endpoints-out", default=None,
                    help="endpoints cloud CSV (default: <out>_endpoints.csv)")

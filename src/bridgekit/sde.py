@@ -35,10 +35,13 @@ from .errors import NumericsError
 # fraction of beta(1).
 SINGULARITY_GUARD = 1e-6
 
-# Trajectories are simulated in fixed-size chunks so memory stays bounded.
-# The noise of a trajectory depends only on (seed, trajectory id), never on
-# the batching; a network drift agrees across batchings only to rounding,
-# because BLAS matrix products are not row-invariant.
+# Trajectories are simulated in fixed-size chunks so that the noise block of
+# a chunk, (chunk, n_steps, d) values, bounds memory. Keeping a network's
+# layers in cache is not this chunk's job: eval-mode network calls run their
+# rows in blocks of their own (``nets._INFER_BLOCK``). The noise of a
+# trajectory depends only on (seed, trajectory id), never on the batching; a
+# network drift agrees across batchings only to rounding, because BLAS
+# matrix products are not row-invariant.
 _SIM_CHUNK = 4096
 
 DriftFn = Callable[[float, np.ndarray], np.ndarray]

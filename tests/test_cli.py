@@ -69,10 +69,11 @@ def test_generate_rejects_unknown_dataset(tmp_path, capsys):
     ["generate", "--dataset", "t", "--n", "10", "--noise-std", "nan", "--out", "g.csv"],
     ["generate", "--dataset", "moon", "--n", "10", "--noise-std", "inf", "--out", "g.csv"],
     ["evaluate", "--pred", "p.csv", "--ref", "r.csv", "--control", "c.csv"],
+    ["sample", "--model", "model.bkt", "--data", "starts.csv", "--out", "t.csv", "--seed", "-1"],
 ], ids=["sample-steps-0", "sample-n-poses-negative", "generate-n-0", "generate-bad-shift",
         "evaluate-eps-negative", "evaluate-eps-zero", "evaluate-eps-nan",
         "generate-seed-negative", "generate-noise-std-negative", "generate-noise-std-nan",
-        "generate-noise-std-inf", "evaluate-control"])
+        "generate-noise-std-inf", "evaluate-control", "sample-seed-negative"])
 def test_bad_arguments_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     try:
@@ -313,6 +314,22 @@ def test_evaluate_unknown_metric(tmp_path, capsys):
     assert run_cli("evaluate", "--pred", cloud, "--ref", cloud, "--metrics", "vibes") == 3
     err = capsys.readouterr().err
     assert "vibes" in err and "rmsd" in err
+
+
+@pytest.mark.parametrize("metrics, expected", [
+    ("", "names no metric"), (" , ", "names no metric"),
+    ("mmd,mmd", "'mmd' is named twice"), ("rmsd, ps_l2,rmsd", "'rmsd' is named twice"),
+])
+def test_evaluate_empty_or_repeated_metrics_is_a_data_error(tmp_path, capsys, metrics, expected):
+    cloud = tmp_path / "c.csv"
+    cloud.write_text("x_0\n1\n2\n")
+    report = tmp_path / "report.txt"
+    assert run_cli("evaluate", "--pred", cloud, "--ref", cloud, "--metrics", metrics,
+                   "--out", report) == 3
+    err = capsys.readouterr().err
+    assert expected in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not report.exists()
 
 
 def test_evaluate_gauss_shift_mean_distance(tmp_path, capsys):
