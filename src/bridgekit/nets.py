@@ -21,13 +21,11 @@ each handle one vector per network and only this module knows the layers;
 
 Calling a network is always eval mode; a training pass is
 ``forward(t, x, train=True, rng=...)``. Each block runs one layer pass with
-an optional cache. Without one (calling a network) the rows go through in
-blocks of ``_INFER_BLOCK``: every hidden layer of a block writes into two
-one-block buffers the network owns and reuses across blocks and calls, and
-checks its output for finite values, and each block's output lands in one
-fresh array for the whole call. At a scalar ``t`` the time branch runs once
-per call, on one row, and is folded into the first head layer's bias. With a
-cache (training, or ``forward`` in eval mode) each layer
+an optional cache. Without one (calling a network) every hidden layer writes
+into buffers the network owns and reuses across calls, and checks its output
+for finite values; at a scalar ``t`` the time branch runs on one row and is
+folded into the first head layer's bias, and the returned array is always
+fresh. With a cache (training, or ``forward`` in eval mode) each layer
 applies its activation in place and keeps its input, the activation's
 derivative (computed alongside the activation) and its dropout mask, so
 ``backward`` evaluates no activation again; all of one forward's dropout
@@ -49,14 +47,6 @@ from .errors import NumericsError
 X_ENC_LAYERS = 3
 T_ENC_LAYERS = 2
 HEAD_LAYERS = 3
-
-# Rows per block of an eval-mode call. At hidden width 64 a block's two layer
-# buffers take 1 MB and stay in a 2 MB L2 cache, where the 4 MB of a
-# 4096-row batch did not. Set by measurement: blocks of 1024 (or 2048) rows
-# give simulated trajectories bit-equal to whole 4096-row calls, while 512,
-# 768, 820, 1025 and 1366 do not, because OpenBLAS does not give a row the
-# same bits at every row count.
-_INFER_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -442,32 +432,20 @@ class _TimeConditionedNet:
         return self._bufs[:, :rows]
 
     def _infer(self, t, net_in):
-        """Eval-mode output without caches, ``_INFER_BLOCK`` rows at a time,
-        so the layer buffers never hold more than one block. A scalar ``t``
-        runs the time branch once, on one row, for every block; a per-row
-        ``t`` runs it on each block's rows. Head layer 0 is split into its
-        state and time halves, hx @ Wx.T + (ht @ Wt.T + b0), so no
-        concatenation is built."""
+        """Eval-mode output without caches. A scalar ``t`` runs the time
+        branch on one row; head layer 0 is split into its state and time
+        halves, hx @ Wx.T + (ht @ Wt.T + b0), so no concatenation is built."""
         n, h = net_in.shape[0], self.spec.hidden_dim
-        a, b = self._buffers(max(min(n, _INFER_BLOCK), 1))
+        t = np.atleast_1d(t)
+        a, b = self._buffers(max(n, len(t)))
+        ht = self.t_enc.forward(time_embed(t, self.spec.time_embed_dim),
+                                (a[: len(t)], b[: len(t)]), "t_enc")
         w0 = self.head.weights[0]
-
-        def time_bias(t_rows):
-            ht = self.t_enc.forward(time_embed(t_rows, self.spec.time_embed_dim),
-                                    (a[: len(t_rows)], b[: len(t_rows)]), "t_enc")
-            bias = ht @ w0[:, h:].T
-            bias += self.head.biases[0]
-            return bias
-
-        t_bias = time_bias(t[None]) if t.ndim == 0 else None
-        out = np.empty((n, self.spec.output_dim))
-        for lo in range(0, n, _INFER_BLOCK):
-            hi = min(lo + _INFER_BLOCK, n)
-            bias = time_bias(t[lo:hi]) if t_bias is None else t_bias
-            a_k, b_k = a[: hi - lo], b[: hi - lo]
-            hx = self.x_enc.forward(net_in[lo:hi], (a_k, b_k), "x_enc")  # odd layer count: in a_k
-            out[lo:hi] = self.head.forward(hx, (b_k, a_k), "head", first=(w0[:, :h], bias))
-        return out
+        t_bias = ht @ w0[:, h:].T
+        t_bias += self.head.biases[0]
+        a, b = a[:n], b[:n]
+        hx = self.x_enc.forward(net_in, (a, b), "x_enc")  # an odd layer count leaves hx in a
+        return self.head.forward(hx, (b, a), "head", first=(w0[:, :h], t_bias))
 
     def backward(self, cache, grad_out) -> np.ndarray:
         """Parameter gradient, one fresh vector laid out like ``theta``, from

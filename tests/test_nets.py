@@ -5,7 +5,7 @@ import pytest
 
 from bridgekit import DoobNet, DriftNet, MlpSpec, time_embed
 from bridgekit.errors import NumericsError
-from bridgekit.nets import _INFER_BLOCK, ACTIVATIONS
+from bridgekit.nets import ACTIVATIONS
 
 
 def small_spec(**overrides):
@@ -418,38 +418,3 @@ def test_inference_allocates_no_layer_buffers():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-
-
-@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
-def test_inference_in_blocks_equals_calls_on_each_block(activation):
-    drift, doob = _inference_pair(activation, 80)
-    rng = np.random.default_rng(81)
-    n = 2 * _INFER_BLOCK + 37
-    x, b_val, t_rows = rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), rng.random(n)
-    blocks = [slice(lo, lo + _INFER_BLOCK) for lo in range(0, n, _INFER_BLOCK)]
-
-    def per_block(net, t, *args):
-        return np.concatenate([net(t if np.ndim(t) == 0 else t[s], *(a[s] for a in args))
-                               for s in blocks])
-
-    for t in (0.63, t_rows):
-        assert np.array_equal(drift(t, x), per_block(drift, t, x))
-        assert np.array_equal(doob(t, x, b_value=b_val), per_block(doob, t, x, b_val))
-
-
-def test_inference_nan_beyond_the_first_block_names_the_layer():
-    net = randomize(DriftNet(small_spec()), 82)
-    x = np.random.default_rng(83).normal(size=(2 * _INFER_BLOCK + 37, 3))
-    x[_INFER_BLOCK + 5, 0] = np.nan
-    with pytest.raises(NumericsError, match="x_enc layer 0"):
-        net(0.5, x)
-
-
-def test_inference_buffers_hold_one_block():
-    drift, doob = _inference_pair("selu", 84)
-    rng = np.random.default_rng(85)
-    x, b_val = rng.normal(size=(10_000, 3)), rng.normal(size=(10_000, 3))
-    drift(0.5, x)
-    doob(rng.random(len(x)), x, b_value=b_val)
-    for net in (drift, doob):
-        assert net._bufs.shape[1] <= _INFER_BLOCK

@@ -98,8 +98,9 @@ def test_time_domain_errors():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        DiffusivitySchedule(g_values=(0.0,))
+    for g in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DiffusivitySchedule(g_values=(g,))
     with pytest.raises(ValueError):
         DiffusivitySchedule(g_values=(1.0, 2.0), breakpoints=())
     with pytest.raises(ValueError):

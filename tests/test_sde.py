@@ -3,6 +3,9 @@ import pytest
 
 from bridgekit import (
     DiffusivitySchedule,
+    DoobNet,
+    DriftNet,
+    MlpSpec,
     TimeGrid,
     TrajectoryBatch,
     bridge_drift_target,
@@ -15,6 +18,8 @@ from bridgekit import (
     write_trajectories,
 )
 from bridgekit.errors import NumericsError
+from bridgekit.nets import ACTIVATIONS
+from bridgekit.sde import _SIM_CHUNK
 
 CONST = DiffusivitySchedule.constant(1.0)
 ZERO_DRIFT = lambda t, x: np.zeros_like(x)
@@ -110,6 +115,50 @@ def test_network_drift_agrees_across_batchings_to_rounding():
     np.testing.assert_allclose(split, whole.states, rtol=0, atol=1e-12)
 
 
+def _network_pair(activation, seed):
+    """A drift net and a drift-input correction net with non-zero heads."""
+    kw = dict(input_dim=3, output_dim=3, hidden_dim=6, time_embed_dim=8, activation=activation)
+    drift = DriftNet(MlpSpec(**kw))
+    doob = DoobNet(MlpSpec(uses_drift_input=True, **kw))
+    for i, net in enumerate((drift, doob)):
+        net.theta[...] = np.random.default_rng(seed + i).normal(0.0, 0.3, net.theta.size)
+    return drift, doob
+
+
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_simulation_in_chunks_equals_runs_on_each_chunk(activation):
+    # Each drift call sees one chunk's rows, so a run over several chunks is
+    # bit-equal to one run per chunk with the trajectory ids kept by the offset.
+    drift, doob = _network_pair(activation, 80)
+    doob_fn = lambda t, x, b: doob(t, x, b_value=b)
+    x0 = np.random.default_rng(81).normal(size=(2 * _SIM_CHUNK + 37, 3))
+    grid = TimeGrid(3)
+    for simulate, models in ((simulate_sde, (drift,)), (simulate_conditioned, (drift, doob_fn))):
+        whole = simulate(x0, *models, CONST, grid, 7)
+        chunks = [simulate(x0[lo : lo + _SIM_CHUNK], *models, CONST, grid, 7, traj_offset=lo)
+                  for lo in range(0, len(x0), _SIM_CHUNK)]
+        assert np.array_equal(whole.states, np.concatenate([c.states for c in chunks]))
+
+
+def test_nan_start_beyond_the_first_chunk_names_the_layer():
+    drift, _ = _network_pair("selu", 82)
+    x0 = np.random.default_rng(83).normal(size=(2 * _SIM_CHUNK + 37, 3))
+    x0[_SIM_CHUNK + 5, 0] = np.nan
+    with pytest.raises(NumericsError, match="x_enc layer 0"):
+        simulate_sde(x0, drift, CONST, TimeGrid(3), seed=0)
+
+
+def test_network_buffers_hold_one_chunk():
+    drift, doob = _network_pair("selu", 84)
+    x0 = np.random.default_rng(85).normal(size=(10_000, 3))
+    simulate_conditioned(x0, drift, lambda t, x, b: doob(t, x, b_value=b), CONST,
+                         TimeGrid(2), seed=1)
+    estimate_h_mc(np.zeros(3), 0.5, np.zeros(3), 0.5, drift, CONST, TimeGrid(2), seed=2,
+                  n_paths=10_000)
+    for net in (drift, doob):
+        assert net._bufs.shape[1] <= _SIM_CHUNK
+
+
 def test_non_finite_drift_reports_step_and_state():
     def bad(t, x):
         return np.full_like(x, np.nan) if t >= 0.5 else np.zeros_like(x)
@@ -182,8 +231,9 @@ def test_h_estimate_argument_validation():
     grid = TimeGrid(10)
     with pytest.raises(ValueError):
         estimate_h_mc(np.zeros(1), 1.0, np.zeros(1), 0.1, ZERO_DRIFT, CONST, grid, 0, 10)
-    with pytest.raises(ValueError):
-        estimate_h_mc(np.zeros(1), 0.5, np.zeros(1), -1.0, ZERO_DRIFT, CONST, grid, 0, 10)
+    for tau in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau"):
+            estimate_h_mc(np.zeros(1), 0.5, np.zeros(1), tau, ZERO_DRIFT, CONST, grid, 0, 10)
     with pytest.raises(ValueError):
         estimate_h_mc(np.zeros(1), 0.5, np.zeros(1), 0.1, ZERO_DRIFT, CONST, grid, 0, 0)
 

@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgekit import (
     DiffusivitySchedule,
@@ -179,10 +184,16 @@ def _transpose_first_weight(header):
     header["layer_table"][0][1].reverse()
 
 
+def _set_first_g(value):
+    return lambda header: header["schedule"]["g_values"].__setitem__(0, value)
+
+
 BAD_HEADERS = {
     "schedule-missing": lambda h: h.pop("schedule"),
     "layer-table-not-a-list": lambda h: h.update(layer_table=5),
     "first-weight-transposed": _transpose_first_weight,
+    "g-nan": _set_first_g(float("nan")),
+    "g-inf": _set_first_g(float("inf")),
 }
 
 
@@ -206,3 +217,47 @@ def test_cli_reports_unusable_header_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
     assert str(model) in err
     assert not (tmp_path / "t.csv").exists()
+
+
+def _sample_and_export_fail_with_one_line(model, tmp_path):
+    """Runs ``sample --steps 1`` and ``export-drift`` on ``model`` and asserts
+    that each exits 3 with one stderr line, no traceback and no output file."""
+    starts = tmp_path / "starts.csv"
+    starts.write_text("x_0,x_1\n0.0,0.0\n")
+    for argv, out in ((["sample", "--model", model, "--data", starts, "--steps", 1],
+                       tmp_path / "t.csv"),
+                      (["export-drift", "--model", model], tmp_path / "prior.bkt")):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv + ["--out", out]])
+        assert code == 3, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().strip().splitlines()) == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("header", ["g-nan", "g-inf"])
+def test_cli_rejects_non_finite_diffusivity(tmp_path, header):
+    # save_model cannot write such a schedule, so the header is built by hand.
+    model = tmp_path / "bad.bkt"
+    rewrite_header(V1_PAIR, model, BAD_HEADERS[header])
+    _sample_and_export_fail_with_one_line(model, tmp_path)
+
+
+V1_SIZE = V1_PAIR.stat().st_size
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(st.just("flip"), st.integers(0, 8 * V1_SIZE - 1)),
+                 st.tuples(st.just("truncate"), st.integers(0, V1_SIZE - 1))))
+def test_cli_on_a_corrupted_model_file_exits_3_with_one_line(corruption):
+    kind, at = corruption
+    raw = bytearray(V1_PAIR.read_bytes())
+    if kind == "flip":
+        raw[at // 8] ^= 1 << (at % 8)
+    else:
+        del raw[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "bad.bkt"
+        model.write_bytes(bytes(raw))
+        _sample_and_export_fail_with_one_line(model, Path(tmp))
