@@ -9,7 +9,7 @@ cost, RMSD, mean-shift distance) quantify distributional and alignment
 quality.
 """
 
-__version__ = "0.1.9"
+__version__ = "0.1.10"
 
 from .csvio import (
     read_cloud,

@@ -10,6 +10,8 @@ inputs.
 
 The BRIDGEKIT_THREADS environment variable caps the BLAS worker threads
 (default: all cores); set it to 1 for bit-identical results across machines.
+With a cap, simulation runs on cores // cap worker threads, one chunk of
+trajectories each; outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .datasets import generate_gauss_pairs, generate_moon, generate_t
 from .errors import BridgekitError, DataError, NumericsError, UsageError
 from .metrics import mmd, ps_l2, rmsd, sinkhorn_w
 from .plotting import write_svg
-from .sde import TimeGrid, simulate_sde
+from .sde import TimeGrid, _sim_workers, blas_thread_cap, simulate_sde
 from .serialize import load_model
 from .training import export_drift, read_config, save_train_result, train, write_loss_trace
 
@@ -73,13 +75,12 @@ def _environment() -> dict:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy builds before the mode argument
         blas = {}
-    cap = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("BRIDGEKIT_THREADS"))
     max_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "blas_thread_cap": int(cap) if cap and cap.isascii() and cap.isdigit() else None,
+        "blas_thread_cap": blas_thread_cap(),
         "peak_rss_mb": max_rss / (2**20 if sys.platform == "darwin" else 2**10),
     }
 
@@ -196,6 +197,7 @@ def cmd_sample(args) -> int:
          "n_poses": args.n_poses, "out": str(args.out),
          "endpoints_out": str(endpoints_path)},
         args.seed, [args.model, args.data], started,
+        simulation_workers=_sim_workers(batch.n_traj),
     )
     print(f"simulated {batch.n_traj} trajectories x {args.steps} steps -> {args.out}")
     return 0
@@ -236,29 +238,32 @@ def cmd_evaluate(args) -> int:
 
     lines, values, diagnostics = [], [], {}
     for name in names:
-        if name == "mmd":
-            value = mmd(pred, ref)
-        elif name == "sinkhorn":
-            result = sinkhorn_w(pred, ref, eps=args.eps)
-            if not result.converged:
-                print(
-                    f"warning: sinkhorn stopped at {result.n_iters} iterations with "
-                    f"marginal violation {result.marginal_violation:g}",
-                    file=sys.stderr,
-                )
-            value = result.value
-            diagnostics["sinkhorn"] = {"n_iters": result.n_iters,
-                                       "marginal_violation": result.marginal_violation,
-                                       "converged": result.converged}
-        elif name == "rmsd":
-            if pred.shape != ref.shape:
-                raise DataError(
-                    f"rmsd needs index-aligned clouds of equal shape; got {pred.shape} vs "
-                    f"{ref.shape}. Row i of --pred must correspond to row i of --ref."
-                )
-            value = rmsd(pred, ref)
-        else:
-            value = ps_l2(pred, ref)
+        try:  # a metric refuses some finite clouds, e.g. coordinates near 1e308
+            if name == "mmd":
+                value = mmd(pred, ref)
+            elif name == "sinkhorn":
+                result = sinkhorn_w(pred, ref, eps=args.eps)
+                if not result.converged:
+                    print(
+                        f"warning: sinkhorn stopped at {result.n_iters} iterations with "
+                        f"marginal violation {result.marginal_violation:g}",
+                        file=sys.stderr,
+                    )
+                value = result.value
+                diagnostics["sinkhorn"] = {"n_iters": result.n_iters,
+                                           "marginal_violation": result.marginal_violation,
+                                           "converged": result.converged}
+            elif name == "rmsd":
+                if pred.shape != ref.shape:
+                    raise DataError(
+                        f"rmsd needs index-aligned clouds of equal shape; got {pred.shape} vs "
+                        f"{ref.shape}. Row i of --pred must correspond to row i of --ref."
+                    )
+                value = rmsd(pred, ref)
+            else:
+                value = ps_l2(pred, ref)
+        except ValueError as exc:
+            raise DataError(f"{name}: {exc}") from None
         lines.append(f"{name} = {value:.17g}")
         values.append(value)
 

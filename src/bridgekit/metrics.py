@@ -56,6 +56,12 @@ def _as_cloud(x, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a nonempty (n, d) array")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite values")
+    # Every metric squares coordinate differences, which are at most twice
+    # the largest coordinate; d of those squares must sum to a finite value.
+    extent = float(np.max(np.abs(x)))
+    if not 4.0 * x.shape[1] * extent * extent < np.inf:
+        raise ValueError(f"{name} has coordinates up to {extent:g}, too large for squared "
+                         f"distances to be finite")
     return x
 
 

@@ -30,13 +30,14 @@ applies its activation in place and keeps its input, the activation's
 derivative (computed alongside the activation) and its dropout mask, so
 ``backward`` evaluates no activation again; all of one forward's dropout
 masks come from one draw, and nothing is checked until the caller sees a
-non-finite result and asks ``check_finite`` which layer made it. The buffers
-make a network not re-entrant: one network object must not be called from
-two threads at once.
+non-finite result and asks ``check_finite`` which layer made it. The
+buffers are per thread, so one network may be called from several threads
+at once.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
@@ -316,7 +317,7 @@ class _TimeConditionedNet:
             [2 * h] + [h] * (HEAD_LAYERS - 1) + [spec.output_dim],
             spec.activation, bare_last=True, rng=rng, zero_last=True,
         )
-        self._bufs = np.empty((2, 0, h))  # layer buffers and scratch, see _buffers
+        self._local = threading.local()  # per-thread layer buffers, see _buffers
         # Move the drawn values into one vector and make every layer a view of it.
         self.theta = np.concatenate([a.ravel() for blk in self._blocks()
                                      for wb in zip(blk.weights, blk.biases) for a in wb])
@@ -426,10 +427,12 @@ class _TimeConditionedNet:
                     raise NumericsError(f"non-finite activation in {where} layer {li}")
 
     def _buffers(self, rows):
-        """The two (rows, hidden) layer buffers, grown on demand."""
-        if rows > self._bufs.shape[1]:
-            self._bufs = np.empty((2, rows, self.spec.hidden_dim))
-        return self._bufs[:, :rows]
+        """The calling thread's two (rows, hidden) layer buffers, grown on
+        demand."""
+        bufs = getattr(self._local, "bufs", None)
+        if bufs is None or rows > bufs.shape[1]:
+            bufs = self._local.bufs = np.empty((2, rows, self.spec.hidden_dim))
+        return bufs[:, :rows]
 
     def _infer(self, t, net_in):
         """Eval-mode output without caches. A scalar ``t`` runs the time

@@ -23,9 +23,11 @@ integrated with fixed-step Euler-Maruyama.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -74,8 +76,11 @@ class DiffusivitySchedule:
     def __post_init__(self):
         if len(self.g_values) == 0:
             raise ValueError("schedule needs at least one g value")
-        if not all(0.0 < g < math.inf for g in self.g_values):
-            raise ValueError("diffusivity must be positive and finite everywhere")
+        # beta sums g^2, so g^2 must be finite too.
+        if not all(0.0 < g and g * g < math.inf for g in self.g_values):
+            raise ValueError(
+                "diffusivity must be positive and finite everywhere, with a finite square"
+            )
         if len(self.breakpoints) != len(self.g_values) - 1:
             raise ValueError("need exactly one breakpoint between consecutive g values")
         bps = self.breakpoints
@@ -266,9 +271,10 @@ def bridge_drift_target(x, x1, t, schedule: DiffusivitySchedule, beta_t=None):
 # ---------------------------------------------------------------------------
 
 
-def _trajectory_noise(seed: int, traj_ids: np.ndarray, n_steps: int, d: int) -> np.ndarray:
+def _trajectory_noise(seed: int, traj_ids: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-trajectory Gaussian increments, addressable by (seed, id, step).
 
+    Fills ``out`` (n_ids, n_steps, d; each row C-contiguous) and returns it.
     Each trajectory owns a Philox stream keyed by (run seed, trajectory id);
     step k reads positions k*d .. (k+1)*d - 1 of that stream. The values for a
     given trajectory therefore never depend on which other trajectories are
@@ -284,12 +290,68 @@ def _trajectory_noise(seed: int, traj_ids: np.ndarray, n_steps: int, d: int) -> 
              "has_uint32": 0, "uinteger": 0}
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
-    out = np.empty((len(traj_ids), n_steps, d))
     for row, tid in enumerate(traj_ids):
         key[1] = int(tid)
         bitgen.state = state
         rng.standard_normal(out=out[row])
     return out
+
+
+def blas_thread_cap() -> Optional[int]:
+    """The BLAS thread cap set in this process's environment:
+    ``OPENBLAS_NUM_THREADS``, else ``BRIDGEKIT_THREADS``, as a non-negative
+    integer; None when neither is set or the value is not one."""
+    cap = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("BRIDGEKIT_THREADS"))
+    return int(cap) if cap and cap.isascii() and cap.isdigit() else None
+
+
+def _sim_workers(n_traj: int) -> int:
+    """Threads that simulate ``n_traj`` trajectories: one per chunk, up to
+    the cores divided by the BLAS thread cap. Without a cap (unset, 0 or not
+    a number) BLAS already runs on every core, and chunks on more threads
+    beside it were measured slower, so the answer is 1."""
+    cap = blas_thread_cap()
+    if not cap:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(-(-n_traj // _SIM_CHUNK), max(1, cores // cap))
+
+
+def _run_chunks(n_chunks: int, workers: int, run_chunk: Callable[[int], None]) -> None:
+    """Calls ``run_chunk(i)`` for i in range(n_chunks) on the calling thread
+    and ``workers - 1`` more, each taking the next index from a shared
+    counter. A failure stops new chunks; once the running ones have finished,
+    the exception of the lowest failed index is raised. Every index below it
+    was taken first and ran to its end, so a one-thread run raises the same."""
+    lock = threading.Lock()
+    next_chunk = 0
+    errors = {}
+
+    def work():
+        nonlocal next_chunk
+        while True:
+            with lock:
+                if next_chunk >= n_chunks:
+                    return
+                i = next_chunk
+                next_chunk += 1
+            try:
+                run_chunk(i)
+            except BaseException as exc:  # re-raised below, so no chunk is lost unseen
+                with lock:
+                    errors[i] = exc
+                    next_chunk = n_chunks
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for th in threads:
+        th.start()
+    work()
+    for th in threads:
+        th.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _simulate_times(
@@ -301,10 +363,17 @@ def _simulate_times(
     traj_offset: int,
     record: bool,
 ) -> np.ndarray:
-    """Core EM loop over an explicit time array. Returns full paths or endpoints."""
+    """Core EM loop over an explicit time array. Returns full paths or endpoints.
+
+    Chunks of ``_SIM_CHUNK`` rows run on ``_sim_workers`` threads; each chunk's
+    rows, noise and arithmetic are those of a one-thread run, so the result
+    does not depend on the thread count.
+    """
     n_traj, d = x0.shape
     n_steps = len(times) - 1
     if record:
+        # Each chunk's noise is drawn into its rows' slots 1..n_steps: step k
+        # reads slot k + 1 before it writes the new state there.
         states = np.empty((n_traj, n_steps + 1, d))
         states[:, 0] = x0
     else:
@@ -313,10 +382,13 @@ def _simulate_times(
 
     g_vals = np.asarray(schedule.g(times[:-1]), dtype=float)
     dts = np.diff(times)
-    for lo in range(0, n_traj, _SIM_CHUNK):
+
+    def run_chunk(i):
+        lo = i * _SIM_CHUNK
         hi = min(lo + _SIM_CHUNK, n_traj)
         ids = np.arange(lo, hi) + traj_offset
-        noise = _trajectory_noise(seed, ids, n_steps, d)
+        out = states[lo:hi, 1:] if record else np.empty((hi - lo, n_steps, d))
+        noise = _trajectory_noise(seed, ids, out)
         x = x0[lo:hi].copy()
         for k in range(n_steps):
             t_k = float(times[k])
@@ -325,19 +397,22 @@ def _simulate_times(
                 raise ValueError(
                     f"drift_fn returned shape {drift.shape}, expected {x.shape}"
                 )
-            if not np.all(np.isfinite(drift)):
+            g_k, dt = g_vals[k], dts[k]
+            with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+                x_new = x + (g_k * g_k) * drift * dt + g_k * math.sqrt(dt) * noise[:, k, :]
+            if not np.all(np.isfinite(x_new)):
+                what = "state" if np.all(np.isfinite(drift)) else "drift"
                 raise NumericsError(
-                    f"non-finite drift at step {k} (t = {t_k:g}); "
+                    f"non-finite {what} at step {k} (t = {t_k:g}); "
                     f"max |state| = {np.max(np.abs(x)):g}"
                 )
-            g_k = g_vals[k]
-            x = x + (g_k * g_k) * drift * dts[k] + g_k * math.sqrt(dts[k]) * noise[:, k, :]
+            x = x_new
             if record:
                 states[lo:hi, k + 1] = x
         endpoints[lo:hi] = x
-    if record:
-        return states
-    return endpoints
+
+    _run_chunks(-(-n_traj // _SIM_CHUNK), _sim_workers(n_traj), run_chunk)
+    return states if record else endpoints
 
 
 def simulate_sde(
@@ -356,6 +431,12 @@ def simulate_sde(
     paths; with a network drift they agree only to rounding, because BLAS
     matrix products do not promise the same bits for a row in batches of
     different sizes.
+
+    Rows are simulated in chunks of ``_SIM_CHUNK``, and ``drift_fn`` may be
+    called from W threads at once, each on its own chunk: W is the number of
+    cores divided by the BLAS thread cap, and 1 without a cap. The paths do
+    not depend on W. A drift value or state that is not finite raises
+    :class:`NumericsError` naming the step.
     """
     x0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     grid_times = grid.times
@@ -404,7 +485,7 @@ def estimate_h_mc(
 
     Runs ``n_paths`` unconditioned simulations from state ``x`` at time ``t``
     to the horizon and averages exp(-||X_1 - x1||^2 / (2 tau)). The estimate
-    is always in (0, 1].
+    is always in (0, 1]. ``drift_fn`` is called as in :func:`simulate_sde`.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")

@@ -53,6 +53,8 @@ class TrainConfig:
         for key in ("lr_drift", "lr_doob", "g"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be positive and finite")
+        if not self.g * self.g < math.inf:  # the schedule's beta sums g^2
+            raise ConfigError("g must have a finite square")
         if self.lambda_mode not in LAMBDA_MODES:
             raise ConfigError(f"lambda_mode must be one of {LAMBDA_MODES}")
         if not 0.0 <= self.lambda_value < math.inf:

@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgekit import AlignedDataset, TrainConfig, read_cloud, read_pairs, write_pairs
 from bridgekit.cli import METRICS, main
@@ -275,6 +280,30 @@ def test_sample_row_count(tmp_path, trained):
     assert len(rows) - 1 == 3 * 5 * 11
     endpoints = read_cloud(tmp_path / "traj_endpoints.csv")
     assert endpoints.shape == (15, 2)
+
+
+def test_sample_output_does_not_depend_on_the_worker_count(tmp_path, trained, monkeypatch):
+    from bridgekit import sde
+
+    data = tmp_path / "starts.csv"
+    data.write_text("x_0,x_1\n0.5,-0.25\n")
+    n_poses = 2 * sde._SIM_CHUNK + 1  # three chunks
+    monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    runs = []
+    for cap in (None, "1"):  # one worker, then one per core
+        monkeypatch.delenv("BRIDGEKIT_THREADS", raising=False)
+        if cap is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", cap)
+        traj = tmp_path / f"traj{len(runs)}.csv"
+        assert run_cli("sample", "--model", trained, "--data", data, "--steps", 3,
+                       "--n-poses", n_poses, "--seed", 4, "--out", traj) == 0
+        manifest = json.loads(Path(f"{traj}.manifest.json").read_text())
+        runs.append((manifest["simulation_workers"], sha(traj),
+                     sha(tmp_path / f"traj{len(runs)}_endpoints.csv")))
+    assert [workers for workers, *_ in runs] == [1, 3]
+    assert runs[0][1:] == runs[1][1:]
 
 
 def test_sample_accepts_pair_file_for_starts(tmp_path, trained, moon_csv):
@@ -605,3 +634,70 @@ def test_commands_do_not_mutate_inputs(tmp_path, moon_csv):
     run_cli("train", "--data", moon_csv, "--config", cfg, "--out", tmp_path / "m")
     assert sha(moon_csv) == before
     assert sha(cfg) == hashlib.sha256(cfg.read_bytes()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# malformed CSV inputs: the exit-code contract
+# ---------------------------------------------------------------------------
+
+V1_PAIR = Path(__file__).parent / "data" / "v1_pair.bkt"  # d = 2
+_HEADERS = ["x_0,x_1", "x0_0,x0_1,x1_0,x1_1", "x_0", "x0_0,x1_0"]
+_WRONG_HEADERS = ["a,b", "x_1,x_0", "x0_0,x0_1,x1_0", "x_0,x_1,x_2", "x_0,,x_1", ""]
+_NUMBERS = ["0", "1.5", "-2e-3", "7", "0.25", "1e308", "-0"]
+_NOT_NUMBERS = ["abc", "", " ", "1_0", "0x1p3", "1,5", "\u0661"]
+_NOT_FINITE = ["nan", "inf", "-inf", "1e999", "NaN"]
+_DEFECTS = ["none", "ragged", "non-numeric", "non-finite", "header-only", "one-row",
+            "wrong-header"]
+
+
+@st.composite
+def _malformed_csv(draw):
+    """A CSV file with at most one defect: ragged rows, a non-numeric or
+    non-finite cell, no rows, one row or a wrong header."""
+    header = draw(st.sampled_from(_HEADERS))
+    width = header.count(",") + 1
+    rows = draw(st.lists(st.lists(st.sampled_from(_NUMBERS), min_size=width, max_size=width),
+                         min_size=2, max_size=5))
+    defect = draw(st.sampled_from(_DEFECTS))
+    row = draw(st.integers(0, len(rows) - 1))
+    if defect == "ragged":
+        rows[row] = rows[row][:-1] if draw(st.booleans()) else rows[row] + ["1"]
+    elif defect in ("non-numeric", "non-finite"):
+        bad = _NOT_NUMBERS if defect == "non-numeric" else _NOT_FINITE
+        rows[row][draw(st.integers(0, width - 1))] = draw(st.sampled_from(bad))
+    elif defect == "header-only":
+        rows = []
+    elif defect == "one-row":
+        rows = rows[:1]
+    elif defect == "wrong-header":
+        header = draw(st.sampled_from(_WRONG_HEADERS))
+    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_malformed_csv())
+def test_commands_on_malformed_csv_exit_with_a_documented_code_and_one_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        bad = tmp / "bad.csv"
+        bad.write_text(text)
+        good = tmp / "good.csv"
+        good.write_text("x_0,x_1\n0,1\n2,3\n4,5\n")
+        cfg = tmp / "cfg.txt"
+        cfg.write_text(tiny_config_text(n_iters=2, batch_size=4))
+        runs = [
+            ["train", "--data", bad, "--config", cfg, "--out", tmp / "m"],
+            ["sample", "--model", V1_PAIR, "--data", bad, "--steps", 2, "--out", tmp / "t.csv"],
+            ["evaluate", "--pred", bad, "--ref", good, "--out", tmp / "r1.txt"],
+            ["evaluate", "--pred", bad, "--ref", bad, "--out", tmp / "r2.txt"],
+            ["evaluate", "--pred", f"{bad}:x0", "--ref", f"{bad}:x1", "--out", tmp / "r3.txt"],
+        ]
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli(*argv)
+            err = err.getvalue()
+            assert code in (0, 2, 3, 4), (argv[0], text, err)
+            assert "Traceback" not in err, (argv[0], text, err)
+            if code != 0:
+                assert len(err.strip().splitlines()) == 1, (argv[0], text, err)

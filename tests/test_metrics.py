@@ -78,6 +78,16 @@ def test_mmd_rejects_zero_dimensional_clouds():
         mmd(np.zeros((3, 0)), np.zeros((4, 0)))
 
 
+@pytest.mark.parametrize("metric", [mmd, rmsd, ps_l2, sinkhorn_w])
+def test_metrics_reject_coordinates_whose_squares_overflow(metric):
+    # In d = 2, 4 * 2 * (1e155)^2 overflows, so squared distances may not be finite.
+    ok = np.array([[1.0, 0.0], [-1.0, 3.0]])
+    huge = np.array([[1e155, 0.0], [0.0, 1.0]])
+    for x, y in ((huge, ok), (ok, huge)):
+        with pytest.raises(ValueError, match="too large for squared distances"):
+            metric(x, y)
+
+
 def cdist_mmd(x, y, scales):
     """The unbiased estimator from scipy's direct squared distances."""
     from scipy.spatial.distance import cdist

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from bridgekit import (
     write_trajectories,
 )
 from bridgekit.errors import NumericsError
+from bridgekit import sde as sde_module
 from bridgekit.nets import ACTIVATIONS
 from bridgekit.sde import _SIM_CHUNK
 
@@ -91,7 +94,7 @@ def test_trajectory_noise_is_the_keyed_philox_stream(seed, first_id):
     from bridgekit.sde import _trajectory_noise
 
     ids = np.arange(first_id, first_id + 6)
-    noise = _trajectory_noise(seed, ids, 11, 3)
+    noise = _trajectory_noise(seed, ids, np.empty((len(ids), 11, 3)))
     for row, tid in enumerate(ids):
         key = np.array([seed % 2**64, tid], dtype=np.uint64)
         stream = np.random.Generator(np.random.Philox(key=key)).standard_normal((11, 3))
@@ -148,15 +151,142 @@ def test_nan_start_beyond_the_first_chunk_names_the_layer():
         simulate_sde(x0, drift, CONST, TimeGrid(3), seed=0)
 
 
-def test_network_buffers_hold_one_chunk():
+def _use_workers(monkeypatch, workers):
+    monkeypatch.setattr(sde_module, "_sim_workers", lambda n_traj: workers)
+
+
+def test_network_buffers_hold_one_chunk(monkeypatch):
+    # Each thread's layer buffers hold at most one chunk's rows; on two
+    # workers the worker thread's buffers are checked too.
+    _use_workers(monkeypatch, 2)
     drift, doob = _network_pair("selu", 84)
+    rows = {}  # (thread, net) -> largest buffer seen
+
+    def watched(net):
+        def call(t, x, *args, **kwargs):
+            out = net(t, x, *args, **kwargs)
+            key = (threading.get_ident(), id(net))
+            rows[key] = max(rows.get(key, 0), net._local.bufs.shape[1])
+            return out
+        return call
+
+    drift_fn, doob_fn = watched(drift), watched(doob)
     x0 = np.random.default_rng(85).normal(size=(10_000, 3))
-    simulate_conditioned(x0, drift, lambda t, x, b: doob(t, x, b_value=b), CONST,
+    simulate_conditioned(x0, drift_fn, lambda t, x, b: doob_fn(t, x, b_value=b), CONST,
                          TimeGrid(2), seed=1)
-    estimate_h_mc(np.zeros(3), 0.5, np.zeros(3), 0.5, drift, CONST, TimeGrid(2), seed=2,
+    estimate_h_mc(np.zeros(3), 0.5, np.zeros(3), 0.5, drift_fn, CONST, TimeGrid(2), seed=2,
                   n_paths=10_000)
-    for net in (drift, doob):
-        assert net._bufs.shape[1] <= _SIM_CHUNK
+    main = threading.get_ident()
+    assert {net for thread, net in rows if thread != main} == {id(drift), id(doob)}
+    assert all(n <= _SIM_CHUNK for n in rows.values())
+
+
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, activation):
+    drift, doob = _network_pair(activation, 86)
+    doob_fn = lambda t, x, b: doob(t, x, b_value=b)
+    x0 = np.random.default_rng(87).normal(size=(2 * _SIM_CHUNK + 37, 3))
+    grid = TimeGrid(4)
+    runs = []
+    for workers in (1, 2, 3):
+        _use_workers(monkeypatch, workers)
+        runs.append((simulate_sde(x0, drift, CONST, grid, 7).states,
+                     simulate_conditioned(x0, drift, doob_fn, CONST, grid, 7).states,
+                     estimate_h_mc(x0[0], 0.2, x0[1], 0.5, drift, CONST, grid, seed=3,
+                                   n_paths=len(x0))))
+    for run in runs[1:]:
+        assert np.array_equal(run[0], runs[0][0])
+        assert np.array_equal(run[1], runs[0][1])
+        assert run[2] == runs[0][2]
+
+
+def test_failure_raised_is_that_of_the_lowest_failed_chunk(monkeypatch):
+    # Chunk 2 fails at its first step, chunk 1 only at step 5, so on several
+    # workers chunk 2 fails first in time; chunk 1's error must still win.
+    x0 = np.repeat(np.arange(3.0)[:, None], _SIM_CHUNK, axis=0)[: 2 * _SIM_CHUNK + 37]
+    tiny = DiffusivitySchedule.constant(1e-9)
+
+    def planted(t, x):
+        chunk = round(float(x[0, 0]))
+        if chunk == 2:
+            raise ValueError("planted in chunk 2")
+        if chunk == 1 and t >= 0.5:
+            return np.full_like(x, np.nan)
+        return np.zeros_like(x)
+
+    errors = []
+    for workers in (1, 2, 3):
+        _use_workers(monkeypatch, workers)
+        with pytest.raises(NumericsError) as exc:
+            simulate_sde(x0, planted, tiny, TimeGrid(10), seed=0)
+        errors.append(str(exc.value))
+    assert errors[0].startswith("non-finite drift at step 5 (t = 0.5)")
+    assert errors == [errors[0]] * 3
+
+
+def test_one_net_serves_two_threads_at_once():
+    import sys
+
+    net = DriftNet(MlpSpec(input_dim=2, output_dim=2, activation="selu"))
+    net.theta[...] = np.random.default_rng(88).normal(0.0, 0.2, net.theta.size)
+    inputs = [(0.1 * i, np.random.default_rng(89 + i).normal(size=(300 + 50 * i, 2)))
+              for i in range(2)]
+    serial = [net(t, x) for t, x in inputs]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def worker(i):
+        start.wait()
+        for _ in range(40):
+            got[i].append(net(*inputs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i in range(2):
+        assert len(got[i]) == 40
+        assert all(np.array_equal(out, serial[i]) for out in got[i])
+
+
+@pytest.mark.parametrize("variables, workers", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"BRIDGEKIT_THREADS": "1"}, 4),
+], ids=["unset", "zero", "one", "not-a-number", "above-cores", "two", "bridgekit-threads"])
+def test_worker_count_follows_the_blas_cap(monkeypatch, variables, workers):
+    for var in ("OPENBLAS_NUM_THREADS", "BRIDGEKIT_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in variables.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(sde_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    assert sde_module._sim_workers(10 * _SIM_CHUNK) == workers
+    # Never more workers than chunks.
+    assert sde_module._sim_workers(_SIM_CHUNK + 1) == min(workers, 2)
+    assert sde_module._sim_workers(1) == 1
+
+
+def test_overflowing_state_is_a_numerics_error_naming_the_step():
+    # From 1e308, steps of 1e307 leave the floats after the eighth (step 7).
+    huge = lambda t, x: np.full_like(x, 1e308)
+    start = np.full(2, 1e308)
+    message = r"^non-finite state at step 7 \(t = 0.7\)"
+    with pytest.raises(NumericsError, match=message):
+        simulate_sde(np.tile(start, (3, 1)), huge, CONST, TimeGrid(10), seed=0)
+    with pytest.raises(NumericsError, match=message):
+        estimate_h_mc(start, 0.0, start, 1.0, huge, CONST, TimeGrid(10), seed=0, n_paths=3)
 
 
 def test_non_finite_drift_reports_step_and_state():

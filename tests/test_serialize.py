@@ -194,6 +194,7 @@ BAD_HEADERS = {
     "first-weight-transposed": _transpose_first_weight,
     "g-nan": _set_first_g(float("nan")),
     "g-inf": _set_first_g(float("inf")),
+    "g-squared-overflows": _set_first_g(1e200),
 }
 
 
@@ -236,7 +237,7 @@ def _sample_and_export_fail_with_one_line(model, tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("header", ["g-nan", "g-inf"])
+@pytest.mark.parametrize("header", ["g-nan", "g-inf", "g-squared-overflows"])
 def test_cli_rejects_non_finite_diffusivity(tmp_path, header):
     # save_model cannot write such a schedule, so the header is built by hand.
     model = tmp_path / "bad.bkt"

@@ -356,6 +356,7 @@ def test_config_validation_bounds():
 @pytest.mark.parametrize("key, value", [
     ("g", float("nan")),
     ("g", float("inf")),
+    ("g", 1e200),
     ("lr_drift", float("nan")),
     ("lr_doob", float("nan")),
     ("lr_doob", 0.0),
