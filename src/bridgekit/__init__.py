@@ -9,6 +9,16 @@ cost, RMSD, mean-shift distance) quantify distributional and alignment
 quality.
 """
 
+import os as _os
+import sys as _sys
+
+# BRIDGEKIT_THREADS caps BLAS through the variables BLAS reads once, when
+# numpy loads it; so it must be applied before the first numpy import, and it
+# cannot cap a numpy that is already loaded.
+if "BRIDGEKIT_THREADS" in _os.environ and "numpy" not in _sys.modules:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["BRIDGEKIT_THREADS"])
+
 __version__ = "0.1.10"
 
 from .csvio import (

@@ -10,17 +10,12 @@ inputs.
 
 The BRIDGEKIT_THREADS environment variable caps the BLAS worker threads
 (default: all cores); set it to 1 for bit-identical results across machines.
-With a cap, simulation runs on cores // cap worker threads, one chunk of
-trajectories each; outputs do not depend on the worker count.
+``import bridgekit`` applies it before numpy loads BLAS. With a cap,
+simulation runs on cores // cap worker threads, one chunk of trajectories
+each; outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
-
-import os
-
-if "BRIDGEKIT_THREADS" in os.environ:  # must precede the first numpy import
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["BRIDGEKIT_THREADS"])
 
 import argparse
 import hashlib

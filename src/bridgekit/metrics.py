@@ -332,7 +332,13 @@ def rmsd(pred, ref) -> float:
         raise ValueError(
             f"rmsd needs index-aligned clouds of equal shape, got {pred.shape} vs {ref.shape}"
         )
-    return float(np.sqrt(np.mean(np.sum((ref - pred) ** 2, axis=1))))
+    diff = ref - pred
+    with np.errstate(over="ignore"):
+        mean_sq = np.mean(np.sum(diff**2, axis=1))
+    if mean_sq == np.inf:  # each row's square is finite (_as_cloud), their sum is not
+        scale = np.max(np.abs(diff))
+        return float(scale * np.sqrt(np.mean(np.sum((diff / scale) ** 2, axis=1))))
+    return float(np.sqrt(mean_sq))
 
 
 def ps_l2(pred, ref) -> float:

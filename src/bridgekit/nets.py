@@ -321,9 +321,26 @@ class _TimeConditionedNet:
         # Move the drawn values into one vector and make every layer a view of it.
         self.theta = np.concatenate([a.ravel() for blk in self._blocks()
                                      for wb in zip(blk.weights, blk.biases) for a in wb])
+        self._bind_layers()
+
+    def _bind_layers(self):
+        """Makes every layer's weights and bias views of ``theta``."""
         for blk, views in zip(self._blocks(), self._layer_views(self.theta)):
             blk.weights = [w for w, _ in views]
             blk.biases = [b for _, b in views]
+
+    def __getstate__(self):
+        # Layer buffers are per-thread scratch and are not copied; pickling
+        # stores the layers as arrays of their own, so they become views of
+        # theta again on loading.
+        state = self.__dict__.copy()
+        del state["_local"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._local = threading.local()
+        self._bind_layers()
 
     # -- parameters ---------------------------------------------------------
 

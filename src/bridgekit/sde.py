@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -297,12 +296,22 @@ def _trajectory_noise(seed: int, traj_ids: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
+def _parse_cap(value: Optional[str]) -> Optional[int]:
+    return int(value) if value and value.isascii() and value.isdigit() else None
+
+
 def blas_thread_cap() -> Optional[int]:
     """The BLAS thread cap set in this process's environment:
     ``OPENBLAS_NUM_THREADS``, else ``BRIDGEKIT_THREADS``, as a non-negative
     integer; None when neither is set or the value is not one."""
-    cap = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("BRIDGEKIT_THREADS"))
-    return int(cap) if cap and cap.isascii() and cap.isdigit() else None
+    return _parse_cap(os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("BRIDGEKIT_THREADS")))
+
+
+# The cap BLAS runs under. OpenBLAS read OPENBLAS_NUM_THREADS when numpy
+# loaded it, before this module was imported (``bridgekit`` sets it from
+# BRIDGEKIT_THREADS first), and later changes to the environment reach
+# neither BLAS nor this value.
+_BLAS_CAP = _parse_cap(os.environ.get("OPENBLAS_NUM_THREADS"))
 
 
 def _sim_workers(n_traj: int) -> int:
@@ -310,48 +319,34 @@ def _sim_workers(n_traj: int) -> int:
     the cores divided by the BLAS thread cap. Without a cap (unset, 0 or not
     a number) BLAS already runs on every core, and chunks on more threads
     beside it were measured slower, so the answer is 1."""
-    cap = blas_thread_cap()
-    if not cap:
+    if not _BLAS_CAP:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return min(-(-n_traj // _SIM_CHUNK), max(1, cores // cap))
+    return min(-(-n_traj // _SIM_CHUNK), max(1, cores // _BLAS_CAP))
 
 
 def _run_chunks(n_chunks: int, workers: int, run_chunk: Callable[[int], None]) -> None:
-    """Calls ``run_chunk(i)`` for i in range(n_chunks) on the calling thread
-    and ``workers - 1`` more, each taking the next index from a shared
-    counter. A failure stops new chunks; once the running ones have finished,
-    the exception of the lowest failed index is raised. Every index below it
-    was taken first and ran to its end, so a one-thread run raises the same."""
-    lock = threading.Lock()
-    next_chunk = 0
-    errors = {}
+    """Calls ``run_chunk(i)`` for i in range(n_chunks), on ``workers``
+    threads when there are more than one. Results are awaited in index
+    order, so the exception raised is that of the lowest failed chunk, as in
+    a one-thread run; it cancels the chunks not yet started."""
+    if workers == 1:
+        for i in range(n_chunks):
+            run_chunk(i)
+        return
+    # Imported here: it loads logging (about 5 ms and 0.6 MB), which
+    # one-thread runs and the other commands do not need.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work():
-        nonlocal next_chunk
-        while True:
-            with lock:
-                if next_chunk >= n_chunks:
-                    return
-                i = next_chunk
-                next_chunk += 1
-            try:
-                run_chunk(i)
-            except BaseException as exc:  # re-raised below, so no chunk is lost unseen
-                with lock:
-                    errors[i] = exc
-                    next_chunk = n_chunks
-                return
-
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for th in threads:
-        th.start()
-    work()
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[min(errors)]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(run_chunk, i) for i in range(n_chunks)]
+        try:
+            for future in futures:
+                future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _simulate_times(

@@ -290,12 +290,8 @@ def test_sample_output_does_not_depend_on_the_worker_count(tmp_path, trained, mo
     n_poses = 2 * sde._SIM_CHUNK + 1  # three chunks
     monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     runs = []
-    for cap in (None, "1"):  # one worker, then one per core
-        monkeypatch.delenv("BRIDGEKIT_THREADS", raising=False)
-        if cap is None:
-            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", cap)
+    for cap in (None, 1):  # one worker, then one per core
+        monkeypatch.setattr(sde, "_BLAS_CAP", cap)
         traj = tmp_path / f"traj{len(runs)}.csv"
         assert run_cli("sample", "--model", trained, "--data", data, "--steps", 3,
                        "--n-poses", n_poses, "--seed", 4, "--out", traj) == 0
@@ -304,6 +300,62 @@ def test_sample_output_does_not_depend_on_the_worker_count(tmp_path, trained, mo
                      sha(tmp_path / f"traj{len(runs)}_endpoints.csv")))
     assert [workers for workers, *_ in runs] == [1, 3]
     assert runs[0][1:] == runs[1][1:]
+
+
+# Runs the CLI as the console script does, importing bridgekit first, then
+# prints its exit code and OpenBLAS's own thread count (null when no OpenBLAS
+# library is found in the process's memory map).
+_CLI_THEN_BLAS_THREADS = """
+import ctypes, json, sys
+from bridgekit.cli import main
+
+code = main(sys.argv[1:])
+threads = None
+try:
+    with open("/proc/self/maps") as maps:
+        libs = sorted({line.split()[-1] for line in maps if "openblas" in line})
+except OSError:
+    libs = []
+for path in libs:
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        get = getattr(ctypes.CDLL(path), name, None)
+        if get is not None:
+            threads = get()
+print(json.dumps({"code": code, "blas_threads": threads}))
+"""
+
+
+def test_bridgekit_threads_alone_caps_blas_for_the_cli(tmp_path, trained):
+    import os
+    import subprocess
+    import sys
+
+    import bridgekit
+    from bridgekit.sde import _SIM_CHUNK
+
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "GOTO_NUM_THREADS")}
+    env["BRIDGEKIT_THREADS"] = "1"
+    env["PYTHONPATH"] = str(Path(bridgekit.__file__).parents[1])
+    data = tmp_path / "starts.csv"
+    data.write_text("x_0,x_1\n0.5,-0.25\n")
+    traj = tmp_path / "traj.csv"
+    argv = ["sample", "--model", trained, "--data", data, "--steps", 2,
+            "--n-poses", 2 * _SIM_CHUNK, "--seed", 1, "--out", traj]
+    proc = subprocess.run([sys.executable, "-c", _CLI_THEN_BLAS_THREADS, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    manifest = json.loads(Path(f"{traj}.manifest.json").read_text())
+    assert manifest["environment"]["blas_thread_cap"] == 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert manifest["simulation_workers"] == min(2, cores)
+    if result["blas_threads"] is None:
+        pytest.skip("no OpenBLAS library found to ask for its thread count")
+    assert result["blas_threads"] == 1
 
 
 def test_sample_accepts_pair_file_for_starts(tmp_path, trained, moon_csv):

@@ -88,6 +88,12 @@ def test_metrics_reject_coordinates_whose_squares_overflow(metric):
             metric(x, y)
 
 
+def test_rmsd_sums_rows_without_overflow():
+    # Each row's squared distance, 6.4e307, is finite; three of them are not.
+    pred = np.tile([4e153, 0.0], (3, 1))
+    assert rmsd(pred, -pred) == 8e153
+
+
 def cdist_mmd(x, y, scales):
     """The unbiased estimator from scipy's direct squared distances."""
     from scipy.spatial.distance import cdist

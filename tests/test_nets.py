@@ -328,6 +328,24 @@ def test_layers_are_views_of_the_flat_vector():
                for a in blk.weights + blk.biases)
 
 
+def test_pickled_and_copied_nets_compute_the_same_and_own_their_theta():
+    import copy
+    import pickle
+
+    net = randomize(DoobNet(small_spec(uses_drift_input=True)), 67)
+    x = np.random.default_rng(68).normal(size=(5, 3))
+    b_val = np.random.default_rng(69).normal(size=(5, 3))
+    expected = net(0.3, x, b_value=b_val)
+    for twin in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        np.testing.assert_array_equal(twin(0.3, x, b_value=b_val), expected)
+        assert all(np.shares_memory(a, twin.theta)
+                   for blk in (twin.x_enc, twin.t_enc, twin.head)
+                   for a in blk.weights + blk.biases)
+        twin.theta[:] = 0.0
+        assert not np.any(twin(0.3, x, b_value=b_val))
+        np.testing.assert_array_equal(net(0.3, x, b_value=b_val), expected)
+
+
 def test_backward_returns_one_vector_in_param_order():
     net = randomize(DriftNet(small_spec()), 64)
     x = np.random.default_rng(65).normal(size=(4, 3))

@@ -256,20 +256,12 @@ def test_one_net_serves_two_threads_at_once():
         assert all(np.array_equal(out, serial[i]) for out in got[i])
 
 
-@pytest.mark.parametrize("variables, workers", [
-    ({}, 1),
-    ({"OPENBLAS_NUM_THREADS": "0"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
-    ({"OPENBLAS_NUM_THREADS": "abc"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
-    ({"BRIDGEKIT_THREADS": "1"}, 4),
-], ids=["unset", "zero", "one", "not-a-number", "above-cores", "two", "bridgekit-threads"])
-def test_worker_count_follows_the_blas_cap(monkeypatch, variables, workers):
-    for var in ("OPENBLAS_NUM_THREADS", "BRIDGEKIT_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in variables.items():
-        monkeypatch.setenv(var, value)
+@pytest.mark.parametrize("value, workers", [
+    (None, 1), ("0", 1), ("1", 4), ("abc", 1), ("8", 1), ("2", 2),
+], ids=["unset", "zero", "one", "not-a-number", "above-cores", "two"])
+def test_worker_count_follows_the_blas_cap(monkeypatch, value, workers):
+    # The cap is OPENBLAS_NUM_THREADS as read when the module was imported.
+    monkeypatch.setattr(sde_module, "_BLAS_CAP", sde_module._parse_cap(value))
     monkeypatch.setattr(sde_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
     assert sde_module._sim_workers(10 * _SIM_CHUNK) == workers
