@@ -12,7 +12,8 @@ The BRIDGEKIT_THREADS environment variable caps the BLAS worker threads
 (default: all cores); set it to 1 for bit-identical results across machines.
 ``import bridgekit`` applies it before numpy loads BLAS. With a cap,
 simulation runs on cores // cap worker threads, one chunk of trajectories
-each; outputs do not depend on the worker count.
+at a time each, and evaluate's MMD runs its tile stripes the same way;
+outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _workers
 from .csvio import (
     is_pair_file,
     parse_row,
@@ -43,9 +44,9 @@ from .csvio import (
 )
 from .datasets import generate_gauss_pairs, generate_moon, generate_t
 from .errors import BridgekitError, DataError, NumericsError, UsageError
-from .metrics import mmd, ps_l2, rmsd, sinkhorn_w
+from .metrics import _mmd_workers, mmd, ps_l2, rmsd, sinkhorn_w
 from .plotting import write_svg
-from .sde import TimeGrid, _sim_workers, blas_thread_cap, simulate_sde
+from .sde import _SIM_CHUNK, TimeGrid, simulate_sde
 from .serialize import load_model
 from .training import export_drift, read_config, save_train_result, train, write_loss_trace
 
@@ -63,9 +64,9 @@ def _sha256(path) -> str:
 
 def _environment() -> dict:
     """What a run's numbers depend on besides its inputs: versions, the BLAS
-    thread cap and this process's peak RSS. An entry that cannot be read (a
-    numpy without ``show_config(mode=...)``, no cap variable, or one that is
-    not a non-negative integer) is None."""
+    thread cap that set the worker count, and this process's peak RSS. An
+    entry that cannot be read (a numpy without ``show_config(mode=...)``, no
+    cap, or one that is not a non-negative integer) is None."""
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy builds before the mode argument
@@ -75,7 +76,7 @@ def _environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "blas_thread_cap": blas_thread_cap(),
+        "blas_thread_cap": _workers._BLAS_CAP,
         "peak_rss_mb": max_rss / (2**20 if sys.platform == "darwin" else 2**10),
     }
 
@@ -180,6 +181,9 @@ def cmd_sample(args) -> int:
     starts = np.repeat(x0, args.n_poses, axis=0)
     grid = TimeGrid(args.steps)
     batch = simulate_sde(starts, model.drift, model.schedule, grid, seed=args.seed)
+    # The network keeps this thread's layer buffers (1 MB at width 64), and
+    # this thread simulates too; drop them before the files are written.
+    del model
     write_trajectories(args.out, batch)
     endpoints_path = args.endpoints_out
     if endpoints_path is None:
@@ -192,7 +196,7 @@ def cmd_sample(args) -> int:
          "n_poses": args.n_poses, "out": str(args.out),
          "endpoints_out": str(endpoints_path)},
         args.seed, [args.model, args.data], started,
-        simulation_workers=_sim_workers(batch.n_traj),
+        simulation_workers=_workers.workers(-(-batch.n_traj // _SIM_CHUNK)),
     )
     print(f"simulated {batch.n_traj} trajectories x {args.steps} steps -> {args.out}")
     return 0
@@ -236,6 +240,7 @@ def cmd_evaluate(args) -> int:
         try:  # a metric refuses some finite clouds, e.g. coordinates near 1e308
             if name == "mmd":
                 value = mmd(pred, ref)
+                diagnostics["mmd_workers"] = _mmd_workers(len(pred), len(ref))
             elif name == "sinkhorn":
                 result = sinkhorn_w(pred, ref, eps=args.eps)
                 if not result.converged:

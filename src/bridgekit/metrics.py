@@ -14,7 +14,11 @@ Within-sample sums evaluate only the tiles on and above the diagonal, and set
 the diagonal's squared distances to exactly 0. Each cloud is sorted along its
 first coordinate first, so that a tile holds nearby points, and a (tile,
 scale) pair whose every kernel value underflows to exactly 0.0 is skipped; the
-skip changes no value.
+skip changes no value. Each stripe of tiles (256 rows of the first cloud) is
+one task, and the stripes of all three sums run on the workers of
+``_workers.run_tasks`` (one thread per core the BLAS cap leaves free), each
+worker with its own two buffers. The calling thread adds their per-tile values
+in the serial loop's order, so MMD does not depend on the worker count.
 
 Sinkhorn runs in the stabilised scaling domain (Schmitzer 2019). Each eps
 stage starts with one log-domain sweep, whose potentials are then absorbed
@@ -34,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._workers import run_tasks, workers
 
 DEFAULT_MMD_SCALES = (2.0, 1.0, 0.5, 0.1, 0.01, 0.005)
 
@@ -65,6 +71,15 @@ def _as_cloud(x, name: str) -> np.ndarray:
     return x
 
 
+def _as_pair(x, y, names) -> tuple[np.ndarray, np.ndarray]:
+    """Both clouds through :func:`_as_cloud`, named ``names``; they must
+    have the same dimension."""
+    x, y = _as_cloud(x, names[0]), _as_cloud(y, names[1])
+    if x.shape[1] != y.shape[1]:
+        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    return x, y
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d2 = (
         np.sum(a * a, axis=1)[:, None]
@@ -74,6 +89,72 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+def _pair_kernel_sums(pairs, scales, n_workers: int) -> list[np.ndarray]:
+    """:func:`_kernel_sums` of each ``(a, b)`` in ``pairs``. Each stripe of
+    ``_TILE`` rows of an ``a`` is one task, and the stripes of all pairs run
+    in one ``run_tasks`` call on ``n_workers`` threads. Worker w works in the
+    w-th pair of tile buffers, allocated here, on the calling thread. A
+    stripe returns each tile's weighted sum per scale (0 where it skips the
+    scale), and they are added in the serial loop's order (pair, stripe,
+    tile), so the sums do not depend on ``n_workers``.
+    """
+    neg_inv = [-1.0 / (2.0 * s * s) for s in scales]
+    # Half the scale before it: 2 (s/2)^2 is exactly 2 s^2 / 4, so the kernel
+    # is the previous one to the fourth power. Its exponent is exactly 4 times
+    # the previous one's, so it is skipped whenever the previous scale is, and
+    # otherwise k still holds the previous kernel.
+    halves = [i > 0 and s * 2.0 == scales[i - 1] for i, s in enumerate(scales)]
+    operands = []
+    for a, b in pairs:
+        # d^2 = |a|^2 + |b|^2 - 2 a.b as one product: [-2a, |a|^2, 1] . [b, 1, |b|^2].
+        a_sq = np.sum(a * a, axis=1)
+        lhs = np.column_stack([-2.0 * a, a_sq, np.ones(len(a))])
+        b_sq = a_sq if b is a else np.sum(b * b, axis=1)
+        operands.append((lhs, np.column_stack([b, np.ones(len(b)), b_sq]), b is a))
+    tasks = [(p, lo) for p, (a, _) in enumerate(pairs) for lo in range(0, len(a), _TILE)]
+    bufs = np.empty((n_workers, 2, _TILE * _TILE))
+
+    def stripe(i, w):
+        p, lo = tasks[i]
+        lhs, rhs, symmetric = operands[p]
+        d2_buf, k_buf = bufs[w]
+        lhs_tile = lhs[lo : lo + _TILE]
+        tiles = range(lo if symmetric else 0, len(rhs), _TILE)
+        values = np.zeros((len(tiles), len(scales)))
+        # d^2 c may overflow to -inf, whose exp is the right 0. numpy's error
+        # state is per thread, and worker threads do not inherit the caller's.
+        with np.errstate(over="ignore"):
+            for row, lo2 in zip(values, tiles):
+                rhs_tile = rhs[lo2 : lo2 + _TILE]
+                shape = (len(lhs_tile), len(rhs_tile))
+                d2 = d2_buf[: shape[0] * shape[1]].reshape(shape)
+                k = k_buf[: shape[0] * shape[1]].reshape(shape)
+                np.matmul(lhs_tile, rhs_tile.T, out=d2)
+                np.maximum(d2, 0.0, out=d2)  # against cancellation
+                diagonal = symmetric and lo2 == lo
+                if diagonal:
+                    np.fill_diagonal(d2, 0.0)
+                d2_min = float(d2.min())
+                weight = 2.0 if symmetric and not diagonal else 1.0
+                for si, c in enumerate(neg_inv):
+                    if d2_min * c < -_EXP_UNDERFLOW:
+                        continue
+                    if halves[si]:
+                        np.square(k, out=k)
+                        np.square(k, out=k)
+                    else:
+                        np.multiply(d2, c, out=k)
+                        np.exp(k, out=k)
+                    row[si] = weight * float(k.sum())
+        return values
+
+    sums = [np.zeros(len(scales)) for _ in pairs]
+    for (p, _), values in zip(tasks, run_tasks(len(tasks), n_workers, stripe)):
+        for row in values:
+            sums[p] += row
+    return sums
+
+
 def _kernel_sums(a: np.ndarray, b: np.ndarray, scales) -> np.ndarray:
     """Total sum of exp(-d^2 / (2 s^2)) over all (i, j), one value per scale.
 
@@ -81,46 +162,15 @@ def _kernel_sums(a: np.ndarray, b: np.ndarray, scales) -> np.ndarray:
     off-diagonal tile counts twice, and the diagonal's d^2 is exactly 0, so
     its kernel values are exactly 1.
     """
-    symmetric = b is a
-    sums = np.zeros(len(scales))
-    neg_inv = [-1.0 / (2.0 * s * s) for s in scales]
-    # Half the scale before it: 2 (s/2)^2 is exactly 2 s^2 / 4, so the kernel
-    # is the previous one to the fourth power. Its exponent is exactly 4 times
-    # the previous one's, so it is skipped whenever the previous scale is, and
-    # otherwise k still holds the previous kernel.
-    halves = [i > 0 and s * 2.0 == scales[i - 1] for i, s in enumerate(scales)]
-    # d^2 = |a|^2 + |b|^2 - 2 a.b as one product: [-2a, |a|^2, 1] . [b, 1, |b|^2].
-    a_sq = np.sum(a * a, axis=1)
-    lhs = np.column_stack([-2.0 * a, a_sq, np.ones(len(a))])
-    b_sq = a_sq if symmetric else np.sum(b * b, axis=1)
-    rhs = np.column_stack([b, np.ones(len(b)), b_sq])
-    d2_buf = np.empty(_TILE * _TILE)
-    k_buf = np.empty(_TILE * _TILE)
-    for lo in range(0, len(a), _TILE):
-        lhs_tile = lhs[lo : lo + _TILE]
-        for lo2 in range(lo if symmetric else 0, len(b), _TILE):
-            rhs_tile = rhs[lo2 : lo2 + _TILE]
-            shape = (len(lhs_tile), len(rhs_tile))
-            d2 = d2_buf[: shape[0] * shape[1]].reshape(shape)
-            k = k_buf[: shape[0] * shape[1]].reshape(shape)
-            np.matmul(lhs_tile, rhs_tile.T, out=d2)
-            np.maximum(d2, 0.0, out=d2)  # against cancellation
-            diagonal = symmetric and lo2 == lo
-            if diagonal:
-                np.fill_diagonal(d2, 0.0)
-            d2_min = float(d2.min())
-            weight = 2.0 if symmetric and not diagonal else 1.0
-            for si, c in enumerate(neg_inv):
-                if d2_min * c < -_EXP_UNDERFLOW:
-                    continue
-                if halves[si]:
-                    np.square(k, out=k)
-                    np.square(k, out=k)
-                else:
-                    np.multiply(d2, c, out=k)
-                    np.exp(k, out=k)
-                sums[si] += weight * float(k.sum())
-    return sums
+    return _pair_kernel_sums([(a, b)], scales, 1)[0]
+
+
+def _mmd_workers(n: int, m: int) -> int:
+    """Threads :func:`mmd` runs on for clouds of ``n`` and ``m`` points: its
+    stripes are those of the smaller cloud twice (its own sum and the cross
+    sum) and of the larger once."""
+    small, large = sorted((n, m))
+    return workers(2 * -(-small // _TILE) + -(-large // _TILE))
 
 
 def mmd(x, y, scales=DEFAULT_MMD_SCALES) -> float:
@@ -131,10 +181,7 @@ def mmd(x, y, scales=DEFAULT_MMD_SCALES) -> float:
     two points per side, and at least one scale s with s, 2 s^2 and
     1 / (2 s^2) positive and finite.
     """
-    x = _as_cloud(x, "x")
-    y = _as_cloud(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    x, y = _as_pair(x, y, ("x", "y"))
     n, m = len(x), len(y)
     if n < 2 or m < 2:
         raise ValueError("unbiased MMD needs at least 2 points per sample")
@@ -153,9 +200,7 @@ def mmd(x, y, scales=DEFAULT_MMD_SCALES) -> float:
         if not (0.0 < s < np.inf and 0.0 < two_s2 < np.inf and 1.0 / two_s2 < np.inf):
             raise ValueError(f"bad MMD scale {s!r}: s, 2 s^2 and 1 / (2 s^2) must be "
                              f"positive and finite")
-    s_xx = _kernel_sums(x, x, scales)
-    s_yy = _kernel_sums(y, y, scales)
-    s_xy = _kernel_sums(x, y, scales)
+    s_xx, s_yy, s_xy = _pair_kernel_sums([(x, x), (y, y), (x, y)], scales, _mmd_workers(n, m))
     # Diagonal kernel values are exactly 1.
     within_x = (s_xx - n) / (n * (n - 1))
     within_y = (s_yy - m) / (m * (m - 1))
@@ -200,14 +245,13 @@ def sinkhorn_w(
     converged plan. ``warm_start`` anneals the regularization from a large
     value down to ``eps``, 10 sweeps per halving (deterministic, and essential
     for convergence when eps is far below the cost scale); the annealing
-    sweeps count toward ``max_iters``.
+    sweeps count toward ``max_iters``. Raises ``ValueError`` when the largest
+    cost over ``eps`` is not finite, and when ``eps`` is below 2^-40 of the
+    largest cost and the annealing stages alone would use up ``max_iters``.
     """
     if not 0.0 < eps < np.inf:  # also false for NaN
         raise ValueError("eps must be positive and finite")
-    x = _as_cloud(x, "x")
-    y = _as_cloud(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    x, y = _as_pair(x, y, ("x", "y"))
     n, m = len(x), len(y)
     a_w, b_w = 1.0 / n, 1.0 / m
     log_a = np.full(n, np.log(a_w))
@@ -239,12 +283,22 @@ def sinkhorn_w(
         return np.exp(work, out=work)
 
     stages = []
-    cost_scale = float(np.max(cost)) if cost.size else 1.0
+    cost_scale = float(np.max(cost))
+    if not cost_scale / eps < np.inf:
+        raise ValueError(f"the largest cost {cost_scale:g} over eps = {eps:g} is not finite")
+    # Below 2^-40 of the cost scale, f / eps rounds by more than the sweeps'
+    # violation can resolve.
+    unresolved = eps < 2.0**-40 * cost_scale
     if warm_start and cost_scale > 0 and eps < cost_scale / 4:
         e = cost_scale / 4
         while e > eps:
             stages.append(e)
             e = max(eps, e / 2)
+        # The plan of a stage far above eps underflows to 0 at eps.
+        if unresolved and 10 * len(stages) >= max_iters:
+            raise ValueError(f"eps = {eps:g} is below the resolution of costs up to "
+                             f"{cost_scale:g}, and the warm start's {len(stages)} stages "
+                             f"of 10 sweeps would use up max_iters = {max_iters}")
     stages.append(eps)
 
     # The potentials are f + e log u and g + e log v: (f, g) are held in the
@@ -295,9 +349,7 @@ def sinkhorn_w(
         f, g = f + e * np.log(u), g + e * np.log(v)
         u, v = np.ones(n), np.ones(m)
     plan = plan_of(f, g, eps)
-    # Below 2^-40 of the cost scale, f / eps rounds by more than the sweeps'
-    # violation can resolve: report the returned plan's own, not converged.
-    unresolved = eps < 2.0**-40 * cost_scale
+    # An unresolved eps reports the returned plan's own violation, not converged.
     if unresolved:
         converged = False
     if violation is None or unresolved:
@@ -347,8 +399,5 @@ def ps_l2(pred, ref) -> float:
     A control population would cancel in the difference of the two
     signatures, so this is ||mean(ref) - mean(pred)||.
     """
-    pred = _as_cloud(pred, "pred")
-    ref = _as_cloud(ref, "ref")
-    if pred.shape[1] != ref.shape[1]:
-        raise ValueError(f"dimension mismatch: {pred.shape[1]} vs {ref.shape[1]}")
+    pred, ref = _as_pair(pred, ref, ("pred", "ref"))
     return float(np.linalg.norm(ref.mean(axis=0) - pred.mean(axis=0)))

@@ -23,13 +23,13 @@ integrated with fixed-step Euler-Maruyama.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
+from ._workers import run_tasks, workers
 from .errors import NumericsError
 
 # Refuse regression targets closer to the terminal singularity than this
@@ -45,7 +45,8 @@ SINGULARITY_GUARD = 1e-6
 # batchings only to rounding, because BLAS matrix products are not
 # row-invariant. Measured with OpenBLAS, chunks of 1024 (or 2048) rows give
 # trajectories bit-equal to chunks of 4096, while 512, 768, 820, 1025 and
-# 1366 do not.
+# 1366 do not. Each chunk is one task of the shared runner
+# ``_workers.run_tasks``, which MMD's tile stripes also run on.
 _SIM_CHUNK = 1024
 
 DriftFn = Callable[[float, np.ndarray], np.ndarray]
@@ -296,59 +297,6 @@ def _trajectory_noise(seed: int, traj_ids: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
-def _parse_cap(value: Optional[str]) -> Optional[int]:
-    return int(value) if value and value.isascii() and value.isdigit() else None
-
-
-def blas_thread_cap() -> Optional[int]:
-    """The BLAS thread cap set in this process's environment:
-    ``OPENBLAS_NUM_THREADS``, else ``BRIDGEKIT_THREADS``, as a non-negative
-    integer; None when neither is set or the value is not one."""
-    return _parse_cap(os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("BRIDGEKIT_THREADS")))
-
-
-# The cap BLAS runs under. OpenBLAS read OPENBLAS_NUM_THREADS when numpy
-# loaded it, before this module was imported (``bridgekit`` sets it from
-# BRIDGEKIT_THREADS first), and later changes to the environment reach
-# neither BLAS nor this value.
-_BLAS_CAP = _parse_cap(os.environ.get("OPENBLAS_NUM_THREADS"))
-
-
-def _sim_workers(n_traj: int) -> int:
-    """Threads that simulate ``n_traj`` trajectories: one per chunk, up to
-    the cores divided by the BLAS thread cap. Without a cap (unset, 0 or not
-    a number) BLAS already runs on every core, and chunks on more threads
-    beside it were measured slower, so the answer is 1."""
-    if not _BLAS_CAP:
-        return 1
-    affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return min(-(-n_traj // _SIM_CHUNK), max(1, cores // _BLAS_CAP))
-
-
-def _run_chunks(n_chunks: int, workers: int, run_chunk: Callable[[int], None]) -> None:
-    """Calls ``run_chunk(i)`` for i in range(n_chunks), on ``workers``
-    threads when there are more than one. Results are awaited in index
-    order, so the exception raised is that of the lowest failed chunk, as in
-    a one-thread run; it cancels the chunks not yet started."""
-    if workers == 1:
-        for i in range(n_chunks):
-            run_chunk(i)
-        return
-    # Imported here: it loads logging (about 5 ms and 0.6 MB), which
-    # one-thread runs and the other commands do not need.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(run_chunk, i) for i in range(n_chunks)]
-        try:
-            for future in futures:
-                future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
 def _simulate_times(
     x0: np.ndarray,
     drift_fn: DriftFn,
@@ -360,9 +308,10 @@ def _simulate_times(
 ) -> np.ndarray:
     """Core EM loop over an explicit time array. Returns full paths or endpoints.
 
-    Chunks of ``_SIM_CHUNK`` rows run on ``_sim_workers`` threads; each chunk's
-    rows, noise and arithmetic are those of a one-thread run, so the result
-    does not depend on the thread count.
+    Chunks of ``_SIM_CHUNK`` rows are the tasks of ``_workers.run_tasks``, on
+    ``_workers.workers(n_chunks)`` threads; each chunk's rows, noise and
+    arithmetic are those of a one-thread run, so the result does not depend on
+    the thread count.
     """
     n_traj, d = x0.shape
     n_steps = len(times) - 1
@@ -378,7 +327,7 @@ def _simulate_times(
     g_vals = np.asarray(schedule.g(times[:-1]), dtype=float)
     dts = np.diff(times)
 
-    def run_chunk(i):
+    def run_chunk(i, w):
         lo = i * _SIM_CHUNK
         hi = min(lo + _SIM_CHUNK, n_traj)
         ids = np.arange(lo, hi) + traj_offset
@@ -406,7 +355,8 @@ def _simulate_times(
                 states[lo:hi, k + 1] = x
         endpoints[lo:hi] = x
 
-    _run_chunks(-(-n_traj // _SIM_CHUNK), _sim_workers(n_traj), run_chunk)
+    n_chunks = -(-n_traj // _SIM_CHUNK)
+    run_tasks(n_chunks, workers(n_chunks), run_chunk)
     return states if record else endpoints
 
 

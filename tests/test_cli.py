@@ -128,20 +128,22 @@ def test_manifest_records_the_environment(moon_csv, monkeypatch, tmp_path):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert env["peak_rss_mb"] > 1.0
-    # The cap is read from the environment when the manifest is written.
-    for var in ("OPENBLAS_NUM_THREADS", "BRIDGEKIT_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    cases = [({}, None), ({"BRIDGEKIT_THREADS": "3"}, 3),
-             ({"OPENBLAS_NUM_THREADS": "2", "BRIDGEKIT_THREADS": "3"}, 2)]
-    # A value that is not a non-negative integer is recorded as null.
-    cases += [({"OPENBLAS_NUM_THREADS": bad}, None) for bad in ("", " 2", "auto", "-1", "\u00b2")]
-    for i, (variables, cap) in enumerate(cases):
-        for var, value in variables.items():
-            monkeypatch.setenv(var, value)
+    # The cap recorded is the one that sets the worker count, read once at
+    # import; the environment when the manifest is written does not count.
+    from bridgekit import _workers
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "5")
+    monkeypatch.setenv("BRIDGEKIT_THREADS", "6")
+    for i, cap in enumerate((None, 0, 1, 3)):
+        monkeypatch.setattr(_workers, "_BLAS_CAP", cap)
         out = tmp_path / f"g{i}.csv"
         assert run_cli("generate", "--dataset", "moon", "--n", 5, "--seed", 1, "--out", out) == 0
         manifest = json.loads((tmp_path / f"g{i}.csv.manifest.json").read_text())
         assert manifest["environment"]["blas_thread_cap"] == cap
+    # A value that is not a non-negative integer is read as no cap.
+    assert _workers._parse_cap("2") == 2
+    for bad in (None, "", " 2", "auto", "-1", "\u00b2"):
+        assert _workers._parse_cap(bad) is None
 
 
 def test_manifest_without_show_config_modes_records_null_blas(monkeypatch, tmp_path):
@@ -283,15 +285,15 @@ def test_sample_row_count(tmp_path, trained):
 
 
 def test_sample_output_does_not_depend_on_the_worker_count(tmp_path, trained, monkeypatch):
-    from bridgekit import sde
+    from bridgekit import _workers, sde
 
     data = tmp_path / "starts.csv"
     data.write_text("x_0,x_1\n0.5,-0.25\n")
     n_poses = 2 * sde._SIM_CHUNK + 1  # three chunks
-    monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     runs = []
     for cap in (None, 1):  # one worker, then one per core
-        monkeypatch.setattr(sde, "_BLAS_CAP", cap)
+        monkeypatch.setattr(_workers, "_BLAS_CAP", cap)
         traj = tmp_path / f"traj{len(runs)}.csv"
         assert run_cli("sample", "--model", trained, "--data", data, "--steps", 3,
                        "--n-poses", n_poses, "--seed", 4, "--out", traj) == 0
@@ -613,6 +615,50 @@ def test_evaluate_manifest_records_sinkhorn_diagnostics(tmp_path):
     assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "ps_l2",
                    "--out", tmp_path / "r.txt") == 0
     assert "sinkhorn" not in json.loads((tmp_path / "r.txt.manifest.json").read_text())
+
+
+def test_evaluate_manifest_records_mmd_workers(tmp_path, monkeypatch):
+    from bridgekit import _workers, write_cloud
+
+    rng = np.random.default_rng(4)
+    pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
+    write_cloud(pred, rng.normal(size=(300, 2)))  # two stripes
+    write_cloud(ref, rng.normal(size=(20, 2)))  # one stripe
+    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    reports = []
+    # 4 stripes: the smaller cloud's sum and the cross sum 1 each, the larger 2.
+    for cap, workers in ((None, 1), (1, 4), (4, 2)):
+        monkeypatch.setattr(_workers, "_BLAS_CAP", cap)
+        report = tmp_path / f"report{cap}.txt"
+        assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "mmd,ps_l2",
+                       "--out", report) == 0
+        manifest = json.loads(Path(f"{report}.manifest.json").read_text())
+        assert manifest["mmd_workers"] == workers
+        reports.append(report.read_bytes())
+    assert reports == [reports[0]] * 3
+    assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "ps_l2",
+                   "--out", tmp_path / "r.txt") == 0
+    assert "mmd_workers" not in json.loads((tmp_path / "r.txt.manifest.json").read_text())
+
+
+@pytest.mark.parametrize("pred_rows, ref_rows, message", [
+    ("4e153,0\n" * 3, "-4e153,0\n" * 3, "over eps = 0.1 is not finite"),
+    ("0,0\n1e153,0\n", "1,0\n-1e153,0\n", "would use up max_iters = 5000"),
+], ids=["cost-over-eps-overflows", "warm-start-outlasts-max-iters"])
+def test_evaluate_sinkhorn_beyond_its_range_is_a_data_error(tmp_path, capsys, pred_rows,
+                                                            ref_rows, message):
+    pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
+    pred.write_text("x_0,x_1\n" + pred_rows)
+    ref.write_text("x_0,x_1\n" + ref_rows)
+    report = tmp_path / "report.txt"
+    assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "mmd,sinkhorn",
+                   "--out", report) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("data error: sinkhorn: ") and message in err
+    assert not report.exists()
 
 
 def test_export_drift_command(tmp_path, trained):

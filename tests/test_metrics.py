@@ -180,6 +180,67 @@ def test_mmd_diagonal_kernel_values_are_exactly_one():
     assert _kernel_sums(g, g, (0.005,))[0] == 300.0
 
 
+def serial_kernel_sums(a, b, scales):
+    """The one-thread tile loop that MMD's stripes replaced: tiles of 256
+    rows, stripe by stripe, each (tile, scale) value added as it is made."""
+    from bridgekit.metrics import _EXP_UNDERFLOW
+
+    symmetric = b is a
+    sums = np.zeros(len(scales))
+    neg_inv = [-1.0 / (2.0 * s * s) for s in scales]
+    halves = [i > 0 and s * 2.0 == scales[i - 1] for i, s in enumerate(scales)]
+    lhs = np.column_stack([-2.0 * a, np.sum(a * a, axis=1), np.ones(len(a))])
+    rhs = np.column_stack([b, np.ones(len(b)), np.sum(b * b, axis=1)])
+    for lo in range(0, len(a), 256):
+        for lo2 in range(lo if symmetric else 0, len(b), 256):
+            d2 = np.maximum(lhs[lo : lo + 256] @ rhs[lo2 : lo2 + 256].T, 0.0)
+            diagonal = symmetric and lo2 == lo
+            if diagonal:
+                np.fill_diagonal(d2, 0.0)
+            weight = 2.0 if symmetric and not diagonal else 1.0
+            for si, c in enumerate(neg_inv):
+                if float(d2.min()) * c < -_EXP_UNDERFLOW:
+                    continue
+                k = np.square(np.square(k)) if halves[si] else np.exp(d2 * c)
+                sums[si] += weight * float(k.sum())
+    return sums
+
+
+def test_mmd_does_not_depend_on_the_worker_count(monkeypatch):
+    import bridgekit.metrics as metrics
+    from bridgekit.metrics import _pair_kernel_sums
+
+    rng = np.random.default_rng(27)
+    sizes = (2, 255, 257, 3000)
+    clouds = [rng.normal(size=(n, 2)) + 0.1 * i for i, n in enumerate(sizes)]
+    for x, y in zip(clouds, clouds[1:] + clouds[:1]):
+        pairs = [(x, x), (y, y), (x, y)]
+        expected = [serial_kernel_sums(a, b, DEFAULT_MMD_SCALES) for a, b in pairs]
+        values = []
+        for workers in (1, 2, 3):
+            sums = _pair_kernel_sums(pairs, DEFAULT_MMD_SCALES, workers)
+            assert all(np.array_equal(s, e) for s, e in zip(sums, expected)), workers
+            monkeypatch.setattr(metrics, "workers", lambda n_tasks: min(n_tasks, workers))
+            values.append(mmd(x, y))
+        assert values == [values[0]] * 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mmd_on_far_apart_points_is_quiet(monkeypatch, workers):
+    import bridgekit.metrics as metrics
+
+    # d^2 / (2 s^2) overflows at the small scales; exp of its -inf is the
+    # right 0. Worker threads do not inherit the caller's numpy error state.
+    monkeypatch.setattr(metrics, "workers", lambda n_tasks: min(n_tasks, workers))
+    x, y = [[0.0, 0.0], [1e153, 0.0]], [[1.0, 0.0], [-1e153, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = mmd(x, y)
+    # Only the pair at distance 1 is near: k(1) within x and y is 0, across 1/4.
+    expected = -0.5 * np.mean([math.exp(-1.0 / (2 * s * s)) for s in DEFAULT_MMD_SCALES])
+    assert value == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "scales", [[0.0], [math.nan], [math.inf], [], [-1.0], [1e200], [1e-160], [1e-155],
                [1.0, 0.0]],
@@ -538,6 +599,29 @@ def test_sinkhorn_rejects_bad_eps():
 def test_sinkhorn_rejects_non_finite_eps(eps):
     with pytest.raises(ValueError, match="eps"):
         sinkhorn_w(np.zeros((3, 1)), np.ones((4, 1)), eps=eps)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([[4e153, 0.0]] * 3, [[-4e153, 0.0]] * 3, "over eps = 0.1 is not finite"),
+    ([[0.0, 0.0], [1e153, 0.0]], [[1.0, 0.0], [-1e153, 0.0]],
+     "1020 stages of 10 sweeps would use up max_iters = 5000"),
+], ids=["cost-over-eps-overflows", "warm-start-outlasts-max-iters"])
+def test_sinkhorn_rejects_costs_beyond_its_range(x, y, message):
+    # Before, the first gave value nan after overflow warnings, the second
+    # 0.0 from an all-zero plan after 5000 sweeps.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sinkhorn_w(x, y)
+
+
+def test_sinkhorn_warm_start_check_counts_only_the_annealing_stages():
+    # eps 1e-8 is below 2^-40 of costs up to 4e6: the warm start's 47 stages
+    # of 10 sweeps leave eps one sweep of 471, and none of 470.
+    x, y = [[0.0], [1000.0]], [[0.0], [-1000.0]]
+    assert sinkhorn_w(x, y, eps=1e-8, max_iters=471).n_iters == 471
+    with pytest.raises(ValueError, match="47 stages"):
+        sinkhorn_w(x, y, eps=1e-8, max_iters=470)
 
 
 # ---------------------------------------------------------------------------

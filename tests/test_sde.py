@@ -20,6 +20,7 @@ from bridgekit import (
     write_trajectories,
 )
 from bridgekit.errors import NumericsError
+from bridgekit import _workers
 from bridgekit import sde as sde_module
 from bridgekit.nets import ACTIVATIONS
 from bridgekit.sde import _SIM_CHUNK
@@ -152,7 +153,7 @@ def test_nan_start_beyond_the_first_chunk_names_the_layer():
 
 
 def _use_workers(monkeypatch, workers):
-    monkeypatch.setattr(sde_module, "_sim_workers", lambda n_traj: workers)
+    monkeypatch.setattr(sde_module, "workers", lambda n_tasks: workers)
 
 
 def test_network_buffers_hold_one_chunk(monkeypatch):
@@ -261,13 +262,13 @@ def test_one_net_serves_two_threads_at_once():
 ], ids=["unset", "zero", "one", "not-a-number", "above-cores", "two"])
 def test_worker_count_follows_the_blas_cap(monkeypatch, value, workers):
     # The cap is OPENBLAS_NUM_THREADS as read when the module was imported.
-    monkeypatch.setattr(sde_module, "_BLAS_CAP", sde_module._parse_cap(value))
-    monkeypatch.setattr(sde_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+    monkeypatch.setattr(_workers, "_BLAS_CAP", _workers._parse_cap(value))
+    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
-    assert sde_module._sim_workers(10 * _SIM_CHUNK) == workers
-    # Never more workers than chunks.
-    assert sde_module._sim_workers(_SIM_CHUNK + 1) == min(workers, 2)
-    assert sde_module._sim_workers(1) == 1
+    assert _workers.workers(10) == workers
+    # Never more workers than tasks.
+    assert _workers.workers(2) == min(workers, 2)
+    assert _workers.workers(1) == 1
 
 
 def test_overflowing_state_is_a_numerics_error_naming_the_step():
