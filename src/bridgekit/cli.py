@@ -81,16 +81,20 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(anchor_path, command: str, config: dict, seed, inputs: list, started: float,
-                    **results):
-    """``results`` are further top-level entries, such as solver diagnostics."""
+def _write_manifest(args, anchor_path, inputs: list, config=None, **results):
+    """The run record of ``args.command``, next to ``anchor_path``. ``config``
+    defaults to the parsed flags other than ``--seed``; ``results`` are further
+    top-level entries, such as solver diagnostics, and may set ``seed``."""
+    if config is None:
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "func", "seed", "started")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "input_hashes": {str(p): _sha256(p) for p in inputs},
         "tool_version": __version__,
-        "duration_seconds": time.monotonic() - started,
+        "duration_seconds": time.monotonic() - args.started,
         "environment": _environment(),
         **results,
     }
@@ -106,7 +110,6 @@ def _write_manifest(anchor_path, command: str, config: dict, seed, inputs: list,
 
 
 def cmd_generate(args) -> int:
-    started = time.monotonic()
     rng = np.random.default_rng(args.seed)
     if args.dataset != "gauss-pairs":
         given = [flag for flag, value in (("--dim", args.dim), ("--shift", args.shift))
@@ -130,18 +133,12 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         raise UsageError(f"generate --dataset {args.dataset}: {exc}") from None
     write_pairs(args.out, ds)
-    _write_manifest(
-        args.out, "generate",
-        {"dataset": args.dataset, "n": args.n, "noise_std": args.noise_std,
-         "dim": args.dim, "shift": args.shift, "out": str(args.out)},
-        args.seed, [], started,
-    )
+    _write_manifest(args, args.out, [])
     print(f"wrote {len(ds)} pairs (d = {ds.d}) to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    started = time.monotonic()
     config = read_config(args.config)
     dataset = read_pairs(args.data)
     out_dir = Path(args.out)
@@ -156,10 +153,8 @@ def cmd_train(args) -> int:
     model_path = out_dir / "model.bkt"
     save_train_result(model_path, result)
     write_loss_trace(out_dir / "loss_trace.csv", result.trace)
-    _write_manifest(
-        model_path, "train", config.to_dict(), config.seed,
-        [args.data, args.config], started,
-    )
+    _write_manifest(args, model_path, [args.data, args.config], config=config.to_dict(),
+                    seed=config.seed)
     print(f"trained {config.n_iters} iterations; model at {model_path}")
     return 0
 
@@ -170,7 +165,6 @@ def _load_x0(path) -> np.ndarray:
 
 
 def cmd_sample(args) -> int:
-    started = time.monotonic()
     model = load_model(args.model)
     x0 = _load_x0(args.data)
     if x0.shape[1] != model.drift.spec.input_dim:
@@ -185,41 +179,33 @@ def cmd_sample(args) -> int:
     # this thread simulates too; drop them before the files are written.
     del model
     write_trajectories(args.out, batch)
-    endpoints_path = args.endpoints_out
-    if endpoints_path is None:
+    if args.endpoints_out is None:
         out = Path(args.out)
-        endpoints_path = out.with_name(out.stem + "_endpoints.csv")
-    write_cloud(endpoints_path, batch.endpoints)
-    _write_manifest(
-        args.out, "sample",
-        {"model": str(args.model), "data": str(args.data), "steps": args.steps,
-         "n_poses": args.n_poses, "out": str(args.out),
-         "endpoints_out": str(endpoints_path)},
-        args.seed, [args.model, args.data], started,
-        simulation_workers=_workers.workers(-(-batch.n_traj // _SIM_CHUNK)),
-    )
+        args.endpoints_out = str(out.with_name(out.stem + "_endpoints.csv"))
+    write_cloud(args.endpoints_out, batch.endpoints)
+    _write_manifest(args, args.out, [args.model, args.data],
+                    simulation_workers=_workers.workers(-(-batch.n_traj // _SIM_CHUNK)))
     print(f"simulated {batch.n_traj} trajectories x {args.steps} steps -> {args.out}")
     return 0
 
 
-def _load_cloud_arg(spec: str, what: str) -> np.ndarray:
+def _load_cloud_arg(spec: str, what: str) -> tuple[np.ndarray, str]:
     """A cloud argument is 'file.csv', or 'file.csv:x0' / 'file.csv:x1' to
-    pick one side of a pair file."""
+    pick one side of a pair file. Returns the cloud and the path it read."""
     path, sep, side = spec.rpartition(":")
     if sep and side in ("x0", "x1") and Path(path).exists():
         ds = read_pairs(path)
-        return ds.x0 if side == "x0" else ds.x1
+        return (ds.x0 if side == "x0" else ds.x1), path
     if is_pair_file(spec):
         raise DataError(
             f"{what}: {spec} is a pair file; append ':x0' or ':x1' to select a side"
         )
-    return read_cloud(spec)
+    return read_cloud(spec), spec
 
 
 def cmd_evaluate(args) -> int:
-    started = time.monotonic()
-    pred = _load_cloud_arg(args.pred, "--pred")
-    ref = _load_cloud_arg(args.ref, "--ref")
+    pred, pred_path = _load_cloud_arg(args.pred, "--pred")
+    ref, ref_path = _load_cloud_arg(args.ref, "--ref")
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not names:
         raise DataError(f"--metrics names no metric; valid metrics: {', '.join(METRICS)}")
@@ -228,16 +214,10 @@ def cmd_evaluate(args) -> int:
             raise DataError(f"unknown metric {name!r}; valid metrics: {', '.join(METRICS)}")
         if name in names[:i]:
             raise DataError(f"metric {name!r} is named twice in --metrics")
-    if pred.shape[1] != ref.shape[1]:
-        raise DataError(f"--pred and --ref need equal dimensions; got {pred.shape[1]} vs "
-                        f"{ref.shape[1]}")
-    if "mmd" in names and min(len(pred), len(ref)) < 2:
-        raise DataError(f"mmd needs at least 2 points per cloud; got {len(pred)} in --pred "
-                        f"and {len(ref)} in --ref")
 
     lines, values, diagnostics = [], [], {}
     for name in names:
-        try:  # a metric refuses some finite clouds, e.g. coordinates near 1e308
+        try:  # a metric refuses clouds it cannot compare, e.g. of unequal dimensions
             if name == "mmd":
                 value = mmd(pred, ref)
                 diagnostics["mmd_workers"] = _mmd_workers(len(pred), len(ref))
@@ -254,16 +234,11 @@ def cmd_evaluate(args) -> int:
                                            "marginal_violation": result.marginal_violation,
                                            "converged": result.converged}
             elif name == "rmsd":
-                if pred.shape != ref.shape:
-                    raise DataError(
-                        f"rmsd needs index-aligned clouds of equal shape; got {pred.shape} vs "
-                        f"{ref.shape}. Row i of --pred must correspond to row i of --ref."
-                    )
                 value = rmsd(pred, ref)
             else:
                 value = ps_l2(pred, ref)
         except ValueError as exc:
-            raise DataError(f"{name}: {exc}") from None
+            raise DataError(f"{name}: {exc} (first cloud: --pred, second: --ref)") from None
         lines.append(f"{name} = {value:.17g}")
         values.append(value)
 
@@ -276,27 +251,14 @@ def cmd_evaluate(args) -> int:
         write_csv(args.csv_out, names, np.array([values], dtype=float))
     anchor = args.out or args.csv_out
     if anchor:  # stdout-only runs produce no files for a manifest to sit next to
-        def strip_side(spec):
-            return spec.rsplit(":", 1)[0] if spec.endswith((":x0", ":x1")) else spec
-
-        _write_manifest(
-            anchor, "evaluate",
-            {"pred": args.pred, "ref": args.ref, "metrics": names, "eps": args.eps,
-             "out": args.out, "csv_out": args.csv_out},
-            None, [strip_side(args.pred), strip_side(args.ref)],
-            started, **diagnostics,
-        )
+        args.metrics = names
+        _write_manifest(args, anchor, [pred_path, ref_path], **diagnostics)
     return 0
 
 
 def cmd_export_drift(args) -> int:
-    started = time.monotonic()
     export_drift(args.model, args.out)
-    _write_manifest(
-        args.out, "export-drift",
-        {"model": str(args.model), "out": str(args.out)},
-        None, [args.model], started,
-    )
+    _write_manifest(args, args.out, [args.model])
     print(f"exported drift-only model to {args.out}")
     return 0
 
@@ -309,7 +271,6 @@ def _is_blank(path) -> bool:
 
 
 def cmd_plot(args) -> int:
-    started = time.monotonic()
     trajectories = None
     if args.traj and not _is_blank(args.traj):
         trajectories = read_trajectories(args.traj)
@@ -317,11 +278,7 @@ def cmd_plot(args) -> int:
     if args.pairs:
         pairs = read_pairs(args.pairs)
     write_svg(args.out, trajectories, pairs)
-    _write_manifest(
-        args.out, "plot",
-        {"traj": args.traj, "pairs": args.pairs, "out": str(args.out)},
-        None, [p for p in (args.traj, args.pairs) if p], started,
-    )
+    _write_manifest(args, args.out, [p for p in (args.traj, args.pairs) if p])
     print(f"wrote {args.out}")
     return 0
 
@@ -414,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.monotonic()
     try:
         return args.func(args)
     except UsageError as exc:

@@ -71,12 +71,13 @@ def _as_cloud(x, name: str) -> np.ndarray:
     return x
 
 
-def _as_pair(x, y, names) -> tuple[np.ndarray, np.ndarray]:
-    """Both clouds through :func:`_as_cloud`, named ``names``; they must
-    have the same dimension."""
-    x, y = _as_cloud(x, names[0]), _as_cloud(y, names[1])
+def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both clouds through :func:`_as_cloud`, named the first and the second
+    cloud; they must have the same dimension."""
+    x, y = _as_cloud(x, "the first cloud"), _as_cloud(y, "the second cloud")
     if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+        raise ValueError(f"the two clouds need equal dimensions; got {x.shape[1]} vs "
+                         f"{y.shape[1]}")
     return x, y
 
 
@@ -181,10 +182,10 @@ def mmd(x, y, scales=DEFAULT_MMD_SCALES) -> float:
     two points per side, and at least one scale s with s, 2 s^2 and
     1 / (2 s^2) positive and finite.
     """
-    x, y = _as_pair(x, y, ("x", "y"))
+    x, y = _as_pair(x, y)
     n, m = len(x), len(y)
     if n < 2 or m < 2:
-        raise ValueError("unbiased MMD needs at least 2 points per sample")
+        raise ValueError(f"mmd needs at least 2 points per cloud; got {n} and {m}")
     # Canonical operand order makes mmd(x, y) == mmd(y, x) bit-exactly.
     if (m, y.tobytes()) < (n, x.tobytes()):
         x, y, n, m = y, x, m, n
@@ -246,12 +247,12 @@ def sinkhorn_w(
     value down to ``eps``, 10 sweeps per halving (deterministic, and essential
     for convergence when eps is far below the cost scale); the annealing
     sweeps count toward ``max_iters``. Raises ``ValueError`` when the largest
-    cost over ``eps`` is not finite, and when ``eps`` is below 2^-40 of the
-    largest cost and the annealing stages alone would use up ``max_iters``.
+    cost over ``eps`` is not finite, and when the annealing stages alone would
+    use up ``max_iters``.
     """
     if not 0.0 < eps < np.inf:  # also false for NaN
         raise ValueError("eps must be positive and finite")
-    x, y = _as_pair(x, y, ("x", "y"))
+    x, y = _as_pair(x, y)
     n, m = len(x), len(y)
     a_w, b_w = 1.0 / n, 1.0 / m
     log_a = np.full(n, np.log(a_w))
@@ -295,10 +296,10 @@ def sinkhorn_w(
             stages.append(e)
             e = max(eps, e / 2)
         # The plan of a stage far above eps underflows to 0 at eps.
-        if unresolved and 10 * len(stages) >= max_iters:
-            raise ValueError(f"eps = {eps:g} is below the resolution of costs up to "
-                             f"{cost_scale:g}, and the warm start's {len(stages)} stages "
-                             f"of 10 sweeps would use up max_iters = {max_iters}")
+        if 10 * len(stages) >= max_iters:
+            raise ValueError(f"eps = {eps:g} is far below costs up to {cost_scale:g}: the "
+                             f"warm start's {len(stages)} stages of 10 sweeps would use up "
+                             f"max_iters = {max_iters}")
     stages.append(eps)
 
     # The potentials are f + e log u and g + e log v: (f, g) are held in the
@@ -378,12 +379,10 @@ def rmsd(pred, ref) -> float:
     Row order carries the alignment; this is deliberately not permutation
     invariant.
     """
-    pred = _as_cloud(pred, "pred")
-    ref = _as_cloud(ref, "ref")
+    pred, ref = _as_pair(pred, ref)
     if pred.shape != ref.shape:
-        raise ValueError(
-            f"rmsd needs index-aligned clouds of equal shape, got {pred.shape} vs {ref.shape}"
-        )
+        raise ValueError(f"rmsd needs index-aligned clouds of equal shape; got {pred.shape} vs "
+                         f"{ref.shape}")
     diff = ref - pred
     with np.errstate(over="ignore"):
         mean_sq = np.mean(np.sum(diff**2, axis=1))
@@ -399,5 +398,5 @@ def ps_l2(pred, ref) -> float:
     A control population would cancel in the difference of the two
     signatures, so this is ||mean(ref) - mean(pred)||.
     """
-    pred, ref = _as_pair(pred, ref, ("pred", "ref"))
+    pred, ref = _as_pair(pred, ref)
     return float(np.linalg.norm(ref.mean(axis=0) - pred.mean(axis=0)))

@@ -233,12 +233,6 @@ def bridge_marginal_sample(x0, x1, t, schedule: DiffusivitySchedule, rng: np.ran
     draw = mean + (std[..., None] if np.ndim(std) else std) * eps
     # Pin the endpoints bit-exactly rather than relying on 0-variance algebra.
     t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim == 0:
-        if t_arr == 0.0:
-            return x0.copy()
-        if t_arr == 1.0:
-            return x1.copy()
-        return draw
     draw = np.where((t_arr == 0.0)[..., None], x0, draw)
     draw = np.where((t_arr == 1.0)[..., None], x1, draw)
     return draw

@@ -467,6 +467,19 @@ def test_evaluate_pair_file_without_side_is_explained(tmp_path, capsys):
     assert ":x0" in capsys.readouterr().err
 
 
+def test_evaluate_reads_a_cloud_file_whose_name_ends_in_a_side_selector(tmp_path):
+    # No "c.csv" exists, so "c.csv:x0" is the name of a cloud file, and the
+    # manifest hashes that file.
+    cloud, ref = tmp_path / "c.csv:x0", tmp_path / "r.csv"
+    cloud.write_text("x_0\n1\n2\n")
+    ref.write_text("x_0\n1\n3\n")
+    report = tmp_path / "rep.txt"
+    assert run_cli("evaluate", "--pred", cloud, "--ref", ref, "--metrics", "rmsd",
+                   "--out", report) == 0
+    hashes = json.loads(Path(f"{report}.manifest.json").read_text())["input_hashes"]
+    assert hashes == {str(cloud): sha(cloud), str(ref): sha(ref)}
+
+
 def test_evaluate_rmsd_shape_mismatch_is_explained(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -723,6 +736,48 @@ def test_plot_rejects_high_dimensional_data(tmp_path, capsys):
     pairs.write_text("x0_0,x0_1,x0_2,x1_0,x1_1,x1_2\n0,0,0,1,1,1\n")
     assert run_cli("plot", "--pairs", pairs, "--out", tmp_path / "p.svg") == 3
     assert "2-D" in capsys.readouterr().err
+
+
+def test_manifests_record_command_config_seed_and_inputs(tmp_path, moon_csv, trained):
+    def record(anchor):
+        manifest = json.loads(Path(f"{anchor}.manifest.json").read_text())
+        return (manifest["command"], manifest["config"], manifest["seed"],
+                sorted(manifest["input_hashes"]))
+
+    moon, model, cfg = str(moon_csv), str(trained), str(tmp_path / "cfg.txt")
+    assert record(moon_csv) == ("generate", {"dataset": "moon", "n": 40, "noise_std": None,
+                                             "dim": None, "shift": None, "out": moon}, 7, [])
+    train_config = json.loads(json.dumps(TrainConfig(batch_size=8, n_iters=40, seed=3,
+                                                     eval_every=20).to_dict()))
+    assert record(trained) == ("train", train_config, 3, sorted([moon, cfg]))
+
+    traj, ends = str(tmp_path / "traj.csv"), str(tmp_path / "ends.csv")
+    for extra, endpoints in (([], str(tmp_path / "traj_endpoints.csv")),
+                             (["--endpoints-out", ends], ends)):
+        assert run_cli("sample", "--model", model, "--data", moon, "--steps", 2, "--seed", 5,
+                       "--out", traj, *extra) == 0
+        assert record(traj) == ("sample", {"model": model, "data": moon, "steps": 2,
+                                           "n_poses": 1, "out": traj, "endpoints_out": endpoints},
+                                5, sorted([model, moon]))
+
+    report, csv_out = str(tmp_path / "r.txt"), str(tmp_path / "r.csv")
+    for flag, anchor in (("--out", report), ("--csv-out", csv_out)):
+        assert run_cli("evaluate", "--pred", f"{moon}:x1", "--ref", ends,
+                       "--metrics", "rmsd, ps_l2", flag, anchor) == 0
+        assert record(anchor) == ("evaluate", {
+            "pred": f"{moon}:x1", "ref": ends, "metrics": ["rmsd", "ps_l2"], "eps": 0.1,
+            "out": report if flag == "--out" else None,
+            "csv_out": csv_out if flag == "--csv-out" else None,
+        }, None, sorted([moon, ends]))
+
+    drift = str(tmp_path / "drift.bkt")
+    assert run_cli("export-drift", "--model", model, "--out", drift) == 0
+    assert record(drift) == ("export-drift", {"model": model, "out": drift}, None, [model])
+
+    svg = str(tmp_path / "p.svg")
+    assert run_cli("plot", "--traj", traj, "--pairs", moon, "--out", svg) == 0
+    assert record(svg) == ("plot", {"traj": traj, "pairs": moon, "out": svg}, None,
+                           sorted([traj, moon]))
 
 
 def test_commands_do_not_mutate_inputs(tmp_path, moon_csv):

@@ -400,11 +400,24 @@ def test_sinkhorn_close_to_lp_oracle_rectangular():
 
 def test_sinkhorn_non_convergence_flag():
     rng = np.random.default_rng(10)
+    x = rng.normal(size=(10, 2))
+    y = rng.normal(size=(10, 2))
+    # The warm start's 5 stages take 50 sweeps; the final stage needs about
+    # 600 more to reach this tol, and gets 50.
+    result = sinkhorn_w(x, y, eps=0.1, max_iters=100, tol=1e-12)
+    assert not result.converged
+    assert result.n_iters == 100
+    assert result.marginal_violation > 1e-12
+
+
+def test_sinkhorn_rejects_a_budget_the_warm_start_alone_uses_up():
+    # Before, this returned 5.4e22 from a plan summing to 5.7e22, after 3
+    # sweeps of the warm start's first stage.
+    rng = np.random.default_rng(10)
     x = rng.normal(size=(5, 2))
     y = rng.normal(size=(5, 2))
-    result = sinkhorn_w(x, y, eps=1e-4, max_iters=3, tol=1e-12)
-    assert not result.converged
-    assert result.n_iters == 3
+    with pytest.raises(ValueError, match="15 stages of 10 sweeps would use up max_iters = 3"):
+        sinkhorn_w(x, y, eps=1e-4, max_iters=3, tol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 3, 4])
