@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 Every command takes a --seed where randomness is involved and is run-to-run
 deterministic; each run writes exactly one JSON manifest next to its outputs
 recording the command, its full configuration, input file hashes, the tool
-version, the wall-clock duration, and the environment (Python, numpy and
-BLAS versions, the BLAS thread cap, peak RSS). Commands never mutate their
-inputs.
+version, the wall-clock duration (for train, sample and evaluate also that
+of each phase), and the environment (Python, numpy and BLAS versions, the
+BLAS thread cap, peak RSS). Commands never mutate their inputs.
 
 The BRIDGEKIT_THREADS environment variable caps the BLAS worker threads
 (default: all cores); set it to 1 for bit-identical results across machines.
@@ -81,20 +81,31 @@ def _environment() -> dict:
     }
 
 
+def _end_phase(args, name: str) -> None:
+    """Mark the end of phase ``name``, which began where the previous phase,
+    or the command, did. Timed on the calling thread, so a phase that runs a
+    worker pool counts its wall time."""
+    args.marks.append((name, time.monotonic()))
+
+
 def _write_manifest(args, anchor_path, inputs: list, config=None, **results):
     """The run record of ``args.command``, next to ``anchor_path``. ``config``
     defaults to the parsed flags other than ``--seed``; ``results`` are further
-    top-level entries, such as solver diagnostics, and may set ``seed``."""
+    top-level entries, such as solver diagnostics, and may set ``seed``. The
+    phases marked by ``_end_phase`` are recorded as ``phase_seconds``."""
     if config is None:
         config = {k: v for k, v in vars(args).items()
-                  if k not in ("command", "func", "seed", "started")}
+                  if k not in ("command", "func", "seed", "marks")}
+    marks = args.marks
+    if len(marks) > 1:
+        results["phase_seconds"] = {name: t - marks[i][1] for i, (name, t) in enumerate(marks[1:])}
     manifest = {
         "command": args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
         "input_hashes": {str(p): _sha256(p) for p in inputs},
         "tool_version": __version__,
-        "duration_seconds": time.monotonic() - args.started,
+        "duration_seconds": time.monotonic() - marks[0][1],
         "environment": _environment(),
         **results,
     }
@@ -138,11 +149,25 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _distinct_outputs(command: str, paths: dict) -> None:
+    """Usage error when two of the output flags ``paths`` maps to paths (or
+    None) name the same file, which the second write would overwrite."""
+    seen = {}
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        where = Path(path).resolve()
+        if where in seen:
+            raise UsageError(f"{command}: {seen[where]} and {flag} name the same file {path}")
+        seen[where] = flag
+
+
 def cmd_train(args) -> int:
     config = read_config(args.config)
     dataset = read_pairs(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _end_phase(args, "read")
 
     def progress(it, breakdown):
         print(f"iter {it}: total = {breakdown.total:.6g} "
@@ -150,9 +175,11 @@ def cmd_train(args) -> int:
               f"penalty {breakdown.regularization:.6g})")
 
     result = train(dataset, config, progress=progress)
+    _end_phase(args, "train")
     model_path = out_dir / "model.bkt"
     save_train_result(model_path, result)
     write_loss_trace(out_dir / "loss_trace.csv", result.trace)
+    _end_phase(args, "write")
     _write_manifest(args, model_path, [args.data, args.config], config=config.to_dict(),
                     seed=config.seed)
     print(f"trained {config.n_iters} iterations; model at {model_path}")
@@ -165,6 +192,10 @@ def _load_x0(path) -> np.ndarray:
 
 
 def cmd_sample(args) -> int:
+    if args.endpoints_out is None:
+        out = Path(args.out)
+        args.endpoints_out = str(out.with_name(out.stem + "_endpoints.csv"))
+    _distinct_outputs("sample", {"--out": args.out, "--endpoints-out": args.endpoints_out})
     model = load_model(args.model)
     x0 = _load_x0(args.data)
     if x0.shape[1] != model.drift.spec.input_dim:
@@ -174,15 +205,15 @@ def cmd_sample(args) -> int:
         )
     starts = np.repeat(x0, args.n_poses, axis=0)
     grid = TimeGrid(args.steps)
+    _end_phase(args, "read")
     batch = simulate_sde(starts, model.drift, model.schedule, grid, seed=args.seed)
+    _end_phase(args, "simulate")
     # The network keeps this thread's layer buffers (1 MB at width 64), and
     # this thread simulates too; drop them before the files are written.
     del model
     write_trajectories(args.out, batch)
-    if args.endpoints_out is None:
-        out = Path(args.out)
-        args.endpoints_out = str(out.with_name(out.stem + "_endpoints.csv"))
     write_cloud(args.endpoints_out, batch.endpoints)
+    _end_phase(args, "write")
     _write_manifest(args, args.out, [args.model, args.data],
                     simulation_workers=_workers.workers(-(-batch.n_traj // _SIM_CHUNK)))
     print(f"simulated {batch.n_traj} trajectories x {args.steps} steps -> {args.out}")
@@ -204,6 +235,7 @@ def _load_cloud_arg(spec: str, what: str) -> tuple[np.ndarray, str]:
 
 
 def cmd_evaluate(args) -> int:
+    _distinct_outputs("evaluate", {"--out": args.out, "--csv-out": args.csv_out})
     pred, pred_path = _load_cloud_arg(args.pred, "--pred")
     ref, ref_path = _load_cloud_arg(args.ref, "--ref")
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -214,6 +246,7 @@ def cmd_evaluate(args) -> int:
             raise DataError(f"unknown metric {name!r}; valid metrics: {', '.join(METRICS)}")
         if name in names[:i]:
             raise DataError(f"metric {name!r} is named twice in --metrics")
+    _end_phase(args, "read")
 
     lines, values, diagnostics = [], [], {}
     for name in names:
@@ -241,6 +274,7 @@ def cmd_evaluate(args) -> int:
             raise DataError(f"{name}: {exc} (first cloud: --pred, second: --ref)") from None
         lines.append(f"{name} = {value:.17g}")
         values.append(value)
+    _end_phase(args, "metrics")
 
     report = "\n".join(lines) + "\n"
     print(report, end="")
@@ -249,6 +283,7 @@ def cmd_evaluate(args) -> int:
             fh.write(report)
     if args.csv_out:
         write_csv(args.csv_out, names, np.array([values], dtype=float))
+    _end_phase(args, "write")
     anchor = args.out or args.csv_out
     if anchor:  # stdout-only runs produce no files for a manifest to sit next to
         args.metrics = names
@@ -371,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.started = time.monotonic()
+    args.marks = [("start", time.monotonic())]
     try:
         return args.func(args)
     except UsageError as exc:

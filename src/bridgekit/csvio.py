@@ -4,8 +4,17 @@ README). A file is one header line, then one row of numbers per line.
 Reading is one ``np.loadtxt`` pass followed by vector checks. Only when that
 pass rejects the file, or a check fails, is the file scanned again to find the
 physical ``file:line`` to report; the scan parses each line with the same
-``loadtxt`` call, so the two passes agree on what a number is. Writers print
-17 significant digits, so values read back bit for bit.
+``loadtxt`` call, so the two passes agree on what a number is.
+
+Writing is one formatter, ``_cells``: every cell is exactly the text of
+``format(v, ".17g")``, 17 significant digits, so values read back bit for bit.
+It works on whole blocks of float64 with numpy. Where ``%.17g`` prints fixed
+notation (``1e-4 <= |v| < 1e16``, and zeros), the 17 digits are the correctly
+rounded integer ``N = round(|v| * 10**(16 - e))`` with ``e = floor(log10|v|)``:
+the product is taken exactly with Dekker's two-product against an exact
+``10**k``, rounded half to even, and cut into 4-digit groups that a table
+turns into ASCII. Other cells (tiny, huge, non-finite) are few and take
+``format`` itself.
 """
 
 from __future__ import annotations
@@ -19,7 +28,8 @@ from .datasets import AlignedDataset
 from .errors import DataError
 from .sde import TrajectoryBatch
 
-_CHUNK = 1 << 14  # rows per %-format call or re-scan block, so memory stays bounded
+_RESCAN_ROWS = 1 << 14  # lines per re-scan block of a rejected file
+_WRITE_ROWS = 2048  # rows per formatted block; sets the writer's memory
 _TRAJ_LEAD = ["traj_id", "step", "t"]
 
 
@@ -62,7 +72,7 @@ def _rescan(path, header_no: int, n_cells: int) -> DataError:
     """The error for the first data line the fast pass rejects. Lines are
     parsed in blocks, and only a block that fails is parsed line by line."""
     lines = _data_lines(path, header_no)
-    while block := list(islice(lines, _CHUNK)):
+    while block := list(islice(lines, _RESCAN_ROWS)):
         try:
             rows = _parse([text for _, text in block])
             if rows.shape[1] == n_cells and np.isfinite(rows).all():
@@ -182,21 +192,147 @@ def read_trajectories(path) -> TrajectoryBatch:
     return TrajectoryBatch(states=states, times=times)
 
 
+# A formatted cell is _CELL bytes: sign, the "0" of "0.", then a slot for the
+# dot before each of the five 4-digit groups of the 20-digit field
+# N * 10**(s % 4), s = e + 4, and the comma in the slot after the last group.
+# The dot goes into slot s // 4. Bytes that print nothing are 0 and are
+# dropped when the block is written.
+_CELL = 28
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**k, exact for k <= 22
+# The four ASCII digits of each 4-digit group g, as one uint32.
+_ASCII = np.ascontiguousarray(48 + np.indices((10,) * 4, np.uint8).reshape(4, -1).T)
+_ASCII = _ASCII.view(np.uint32).ravel()
+# End of the last nonzero digit of group j (0-4) holding g, in digits from the
+# field's start; 0 for g = 0. Indexed by 10_000 * j + g.
+_LAST = np.full(10_000, 4, np.uint8)
+for _step, _end in ((10, 3), (100, 2), (1000, 1), (10_000, 0)):
+    _LAST[::_step] = _end
+_LAST = ((_LAST + 4 * np.arange(5, dtype=np.uint8)[:, None]) * (_LAST > 0)).ravel()
+_GROUP_BASE = 10_000 * np.arange(5)[:, None]
+
+
+def _keep_masks() -> np.ndarray:
+    """Byte masks of the five groups, indexed by 21 * s + end of the last
+    nonzero digit. Digits before the dot (below 4 * (s // 4)) keep all but the
+    field's 3 - s % 4 leading zeros; digits after it end at the last nonzero."""
+    s, last = np.divmod(np.arange(20 * 21), 21)
+    t = np.arange(20)
+    dot = 4 * (s // 4)[:, None]
+    keep = np.where(t < dot, t >= 3 - (s % 4)[:, None], t < last[:, None])
+    return (255 * keep).astype(np.uint8).view(np.uint32)
+
+
+_KEEP = _keep_masks()
+# The six slots, indexed by 2 * (s // 4) + (any digit after the dot).
+_SLOTS = np.zeros((10, 6), np.uint8)
+_SLOTS[1::2, :5] = ord(".") * np.eye(5, dtype=np.uint8)
+_SLOTS[:, 5] = ord(",")
+# Sign and the "0" of a value below 1, indexed by 2 * sign bit + (|v| < 1).
+_HEAD = np.array([[0, 0], [0, 48], [45, 0], [45, 48]], np.uint8).view(np.uint16).ravel()
+
+
+def _split(x):
+    """Dekker's split: a high half of 26 significant bits, and the exact rest."""
+    t = 134217729.0 * x  # 2**27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """``a * 10**k`` exactly, as ``p + err`` (Dekker's two-product)."""
+    p = a * _POW10[k]
+    ah, al = _split(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _strided(cells: np.ndarray, dtype, offset: int, width: int = 0) -> np.ndarray:
+    """A view of every cell's bytes from ``offset``: one ``dtype`` item, or
+    ``width`` items 5 bytes apart."""
+    shape, strides = (len(cells),), (cells.strides[0],)
+    if width:
+        shape, strides = shape + (width,), strides + (5,)
+    return np.ndarray(shape, dtype, buffer=cells, offset=offset, strides=strides)
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """The cells of float64 rows ``values`` (rows, cols): uint8 (rows, cols * _CELL),
+    each cell the bytes of ``format(v, ".17g")`` and a comma, padded with zeros."""
+    rows, cols = values.shape
+    v = values.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)  # %.17g prints these, and zeros, in fixed notation
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, err = _scaled(a, 16 - e)
+    # log10 may be one off next to a power of ten; then p + err leaves [1e16, 1e17).
+    off = ((p > 1e17) | ((p == 1e17) & (err >= 0))).astype(np.int64)
+    off -= (p < 1e16) | ((p == 1e16) & (err < 0))
+    if off.any():
+        i = np.flatnonzero(off)
+        e[i] += off[i]
+        p[i], err[i] = _scaled(a[i], 16 - e[i])
+    # p >= 1e16 is an even integer, so rounding err half to even rounds p + err
+    # so. No n reaches 10**17: each power of ten in range is a double or lies
+    # below its nearest double, and the next double down is 1e-16 below it,
+    # not within half a unit of the 17th digit.
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    zero = v == 0
+    n[zero] = 0
+    e[zero] = 0
+    fast |= zero
+    # The 20-digit field m = N * 10**r as five 4-digit groups, exact in float64.
+    s = e + 4
+    q, r = s >> 2, s & 3
+    nh = n // 10**8
+    scale = _POW10[r]
+    low = (n - nh * 10**8) * scale
+    carry = np.floor(low / 1e8)
+    high = nh * scale + carry
+    low -= carry * 1e8
+    groups = np.empty((5, len(v)))
+    np.floor(high / 1e8, out=groups[0])
+    high -= groups[0] * 1e8
+    np.floor(high / 1e4, out=groups[1])
+    groups[2] = high - groups[1] * 1e4
+    np.floor(low / 1e4, out=groups[3])
+    groups[4] = low - groups[3] * 1e4
+    g = groups.astype(np.intp)
+    last = np.take(_LAST, g + _GROUP_BASE).max(axis=0)
+
+    cells = np.empty((len(v), _CELL), np.uint8)
+    _strided(cells, np.uint16, 0)[...] = np.take(_HEAD, 2 * np.signbit(v) + (q == 0))
+    _strided(cells, np.uint8, 2, 6)[...] = np.take(_SLOTS, 2 * q + (last > 4 * q), axis=0)
+    digits = np.take(_ASCII, g).T & np.take(_KEEP, 21 * s + last, axis=0)
+    _strided(cells, np.uint32, 3, 5)[...] = digits
+    for i in np.flatnonzero(~fast):
+        text = format(v[i], ".17g").encode()
+        cells[i, : _CELL - 1] = 0
+        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return cells.reshape(rows, cols * _CELL)
+
+
+def _packed(cells: np.ndarray) -> np.ndarray:
+    """``cells`` without the byte columns that are 0 in every row."""
+    return cells[:, cells.any(axis=0)]
+
+
 def write_csv(path, header: list[str], values: np.ndarray, lead=None) -> None:
-    """Write ``header``, then each row of ``values`` as ``%.17g`` cells, after
-    the text ``lead(lo, hi)`` returns for rows lo..hi-1 when ``lead`` is given."""
-    n_rows, n_values = values.shape
-    row_fmt = ",".join((["%s"] if lead else []) + ["%.17g"] * n_values) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, n_rows, _CHUNK):
-            hi = min(lo + _CHUNK, n_rows)
-            block = values[lo:hi]
+    """Write ``header``, then each row of ``values`` as ``format(v, ".17g")``
+    cells, after the byte columns in the list ``lead(lo, hi)`` returns for rows
+    lo..hi-1 when ``lead`` is given (zero bytes are dropped)."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for lo in range(0, len(values), _WRITE_ROWS):
+            hi = min(lo + _WRITE_ROWS, len(values))
+            text = _cells(values[lo:hi])
             if lead:
-                block = np.empty((hi - lo, 1 + n_values), dtype=object)
-                block[:, 0] = lead(lo, hi)
-                block[:, 1:] = values[lo:hi]
-            fh.write((row_fmt * (hi - lo)) % tuple(block.ravel().tolist()))
+                text = np.hstack(lead(lo, hi) + [text])
+            text[:, -1] = ord("\n")  # each row's last comma
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def write_pairs(path, dataset: AlignedDataset) -> None:
@@ -210,13 +346,14 @@ def write_cloud(path, points: np.ndarray) -> None:
 
 
 def write_trajectories(path, batch: TrajectoryBatch) -> None:
-    """One row per (trajectory, step). Its ``traj_id,step,t`` text is joined
-    from per-step strings made once, faster than three more number cells."""
+    """One row per (trajectory, step). Its ``traj_id,step,t`` text is taken
+    from a table of the steps, made once, and one of the block's ids."""
     per_traj, d = batch.n_steps + 1, batch.d
-    step_cells = [f"{k},{t:.17g}" for k, t in enumerate(batch.times.tolist())]
+    step_cells = _packed(_cells(np.column_stack([np.arange(per_traj), batch.times])))
 
     def lead(lo, hi):
         ids, steps = np.divmod(np.arange(lo, hi), per_traj)
-        return [f"{i},{step_cells[k]}" for i, k in zip(ids.tolist(), steps.tolist())]
+        id_cells = _packed(_cells(np.arange(ids[0], ids[-1] + 1, dtype=float)[:, None]))
+        return [np.take(id_cells, ids - ids[0], axis=0), np.take(step_cells, steps, axis=0)]
 
     write_csv(path, _TRAJ_LEAD + _coords("x", d), batch.states.reshape(-1, d), lead)

@@ -606,6 +606,60 @@ def test_evaluate_csv_out(tmp_path):
     assert (tmp_path / "metrics.csv.manifest.json").exists()
 
 
+def test_sample_outputs_naming_one_file_is_a_usage_error(tmp_path, trained, moon_csv,
+                                                        capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("sample", "--model", trained, "--data", moon_csv, "--steps", 2,
+                   "--out", "e.csv", "--endpoints-out", "./e.csv") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["usage error: sample: --out and --endpoints-out name the same file ./e.csv"]
+    assert not (tmp_path / "e.csv").exists()  # nothing was simulated or written
+
+
+def test_evaluate_outputs_naming_one_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("c.csv").write_text("x_0,x_1\n1,2\n3,4\n")
+    assert run_cli("evaluate", "--pred", "c.csv", "--ref", "c.csv", "--out", "r.txt",
+                   "--csv-out", str(tmp_path / "r.txt")) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no metric ran
+    assert err.strip().splitlines() == [
+        f"usage error: evaluate: --out and --csv-out name the same file {tmp_path / 'r.txt'}"]
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_manifests_record_phase_seconds(tmp_path, moon_csv, monkeypatch):
+    from bridgekit import cli
+
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(tiny_config_text())
+
+    def run_all(out):
+        out.mkdir()
+        assert run_cli("train", "--data", moon_csv, "--config", cfg, "--out", out) == 0
+        assert run_cli("sample", "--model", out / "model.bkt", "--data", moon_csv,
+                       "--steps", 3, "--seed", 4, "--out", out / "traj.csv") == 0
+        assert run_cli("evaluate", "--pred", out / "traj_endpoints.csv", "--ref", f"{moon_csv}:x1",
+                       "--out", out / "r.txt", "--csv-out", out / "r.csv") == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                if not p.name.endswith(".manifest.json")}
+
+    timed = run_all(tmp_path / "timed")
+    for anchor, phases in (("model.bkt", ["read", "train", "write"]),
+                           ("traj.csv", ["read", "simulate", "write"]),
+                           ("r.txt", ["read", "metrics", "write"])):
+        manifest = json.loads((tmp_path / "timed" / f"{anchor}.manifest.json").read_text())
+        recorded = manifest["phase_seconds"]
+        assert sorted(recorded) == sorted(phases)
+        assert all(v >= 0 for v in recorded.values())
+        assert sum(recorded.values()) <= manifest["duration_seconds"]
+    # Timing the phases changes no artifact.
+    monkeypatch.setattr(cli, "_end_phase", lambda args, name: None)
+    assert run_all(tmp_path / "untimed") == timed
+    manifest = json.loads((tmp_path / "untimed" / "traj.csv.manifest.json").read_text())
+    assert "phase_seconds" not in manifest
+
+
 def test_evaluate_manifest_records_sinkhorn_diagnostics(tmp_path):
     from bridgekit import sinkhorn_w, write_cloud
 

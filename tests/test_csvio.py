@@ -1,8 +1,11 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgekit import (
     AlignedDataset,
@@ -11,8 +14,11 @@ from bridgekit import (
     read_trajectories,
     write_cloud,
     write_pairs,
+    write_trajectories,
 )
+from bridgekit.csvio import _cells
 from bridgekit.errors import DataError
+from bridgekit.sde import TimeGrid, TrajectoryBatch
 from bridgekit.training import LossBreakdown, write_loss_trace
 
 # Per reader: its header, a valid first data row, and a second row whose last
@@ -23,7 +29,11 @@ READERS = {
     "trajectories": (read_trajectories, "traj_id,step,t,x_0", "0,0,0,1", "0,1,1,{}"),
 }
 
-SPECIAL = [-0.0, 5e-324, 1e300, 0.1, 3.0, -2.0, 0.0]
+# Values the writers must print as format(v, ".17g") does, among them the
+# edges of the range that the formatter prints in fixed notation itself.
+SPECIAL = [-0.0, 5e-324, 1e300, 0.1, 3.0, -2.0, 0.0,
+           1e-4, 9.9999999999999991e-05, -1e16, 9999999999999998.0, 0.99999999999999994,
+           1e15 + 0.5, 1 + 2**-17]
 
 
 def _write(tmp_path, text):
@@ -115,7 +125,7 @@ def _per_cell_csv(header, rows):
 def test_pair_and_cloud_writers_match_per_cell_format(tmp_path, n, d):
     # The last case has 17,000 rows, more than one write chunk.
     values = np.random.default_rng(n).normal(size=(n, 2 * d))
-    values.reshape(-1)[: len(SPECIAL)] = SPECIAL
+    values.reshape(-1)[: len(SPECIAL)] = SPECIAL[: values.size]
     x0, x1 = values[:, :d], values[:, d:]
     names = [f"x0_{j}" for j in range(d)] + [f"x1_{j}" for j in range(d)]
     path = tmp_path / "pairs.csv"
@@ -142,3 +152,63 @@ def test_loss_trace_writer_matches_per_row_format(tmp_path, n):
         for it, b in enumerate(trace)
     ]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _cell_texts(values):
+    """The formatter's text of each value, without the zero padding and comma."""
+    cells = _cells(np.asarray(values, dtype=float).reshape(-1, 1))
+    return [row.tobytes().translate(None, b"\0")[:-1] for row in cells]
+
+
+def _bits(value):
+    return int(np.array(value).view(np.uint64))
+
+
+# Powers of ten around and inside the fixed-notation range, with the doubles
+# on either side (those below come closest to 17 digits that round up to the
+# power); the range's edges; zeros, the smallest subnormal, the largest doubles.
+EDGES = [x for k in range(-6, 18) for x in (np.nextafter(10.0**k, 0), 10.0**k,
+                                            np.nextafter(10.0**k, np.inf))]
+EDGES += [1e-4, 1e16, 0.99999999999999994, 9.9999999999999999e-5,
+          0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def test_formatter_matches_format_17g_on_edge_values():
+    values = EDGES + [-v for v in EDGES]
+    assert _cell_texts(values) == [format(v, ".17g").encode() for v in values]
+
+
+_FAST_BITS = st.integers(_bits(9e-5), _bits(2e16))  # positive doubles in value order
+_SIGNED_FAST = st.tuples(st.booleans(), _FAST_BITS).map(lambda t: (t[0] << 63) | t[1])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1) | _SIGNED_FAST, min_size=1, max_size=200))
+def test_formatter_matches_format_17g_on_any_float64(bits):
+    # Arbitrary bit patterns are mostly far outside the fixed-notation range,
+    # so half the draws are taken from around it.
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _cell_texts(values) == [format(v, ".17g").encode() for v in values.tolist()]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=50))
+def test_formatter_matches_format_17g_on_drawn_floats(values):
+    assert _cell_texts(values) == [format(v, ".17g").encode() for v in values]
+
+
+def test_trajectory_writer_memory_does_not_grow_with_the_row_count(tmp_path):
+    # The writer formats blocks of rows, so its peak is set by the block size,
+    # not by the file: 50,000 and 400,000 rows peak alike, under 2 MB.
+    peaks = []
+    for n_traj in (500, 4000):
+        states = np.random.default_rng(n_traj).normal(size=(n_traj, 100, 2))
+        batch = TrajectoryBatch(states=states, times=TimeGrid(99).times)
+        tracemalloc.start()
+        try:
+            write_trajectories(tmp_path / "traj.csv", batch)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 * 2**20, peaks
+    assert peaks[1] < 1.1 * peaks[0], peaks

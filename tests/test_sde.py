@@ -435,7 +435,9 @@ def _reference_trajectory_csv(batch):
 def test_trajectory_writer_matches_per_cell_format(tmp_path, n_traj, n_steps, d):
     # The last case has 17,000 rows, more than one write chunk.
     states = np.random.default_rng(n_traj).normal(size=(n_traj, n_steps + 1, d))
-    special = [-0.0, 5e-324, 1e300, 0.1, 3.0, -2.0, 0.0]
+    special = [-0.0, 5e-324, 1e300, 0.1, 3.0, -2.0, 0.0,
+               1e-4, 9.9999999999999991e-05, -1e16, 9999999999999998.0, 0.99999999999999994,
+               1e15 + 0.5, 1 + 2**-17]
     states.reshape(-1)[: len(special)] = special
     batch = TrajectoryBatch(states=states, times=TimeGrid(n_steps).times)
     path = tmp_path / "traj.csv"
