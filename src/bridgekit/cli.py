@@ -88,6 +88,10 @@ def _end_phase(args, name: str) -> None:
     args.marks.append((name, time.monotonic()))
 
 
+def _manifest_path(anchor_path) -> str:
+    return str(anchor_path) + ".manifest.json"
+
+
 def _write_manifest(args, anchor_path, inputs: list, config=None, **results):
     """The run record of ``args.command``, next to ``anchor_path``. ``config``
     defaults to the parsed flags other than ``--seed``; ``results`` are further
@@ -109,8 +113,7 @@ def _write_manifest(args, anchor_path, inputs: list, config=None, **results):
         "environment": _environment(),
         **results,
     }
-    path = Path(str(anchor_path) + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_manifest_path(anchor_path), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -150,8 +153,9 @@ def cmd_generate(args) -> int:
 
 
 def _distinct_outputs(command: str, paths: dict) -> None:
-    """Usage error when two of the output flags ``paths`` maps to paths (or
-    None) name the same file, which the second write would overwrite."""
+    """Usage error when two entries of ``paths``, which maps output flags and
+    the manifest to paths (or None), name the same file: the second write
+    would overwrite the first."""
     seen = {}
     for flag, path in paths.items():
         if path is None:
@@ -195,7 +199,8 @@ def cmd_sample(args) -> int:
     if args.endpoints_out is None:
         out = Path(args.out)
         args.endpoints_out = str(out.with_name(out.stem + "_endpoints.csv"))
-    _distinct_outputs("sample", {"--out": args.out, "--endpoints-out": args.endpoints_out})
+    _distinct_outputs("sample", {"--out": args.out, "--endpoints-out": args.endpoints_out,
+                                 "the manifest": _manifest_path(args.out)})
     model = load_model(args.model)
     x0 = _load_x0(args.data)
     if x0.shape[1] != model.drift.spec.input_dim:
@@ -235,7 +240,9 @@ def _load_cloud_arg(spec: str, what: str) -> tuple[np.ndarray, str]:
 
 
 def cmd_evaluate(args) -> int:
-    _distinct_outputs("evaluate", {"--out": args.out, "--csv-out": args.csv_out})
+    anchor = args.out or args.csv_out
+    _distinct_outputs("evaluate", {"--out": args.out, "--csv-out": args.csv_out,
+                                   "the manifest": anchor and _manifest_path(anchor)})
     pred, pred_path = _load_cloud_arg(args.pred, "--pred")
     ref, ref_path = _load_cloud_arg(args.ref, "--ref")
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -284,7 +291,6 @@ def cmd_evaluate(args) -> int:
     if args.csv_out:
         write_csv(args.csv_out, names, np.array([values], dtype=float))
     _end_phase(args, "write")
-    anchor = args.out or args.csv_out
     if anchor:  # stdout-only runs produce no files for a manifest to sit next to
         args.metrics = names
         _write_manifest(args, anchor, [pred_path, ref_path], **diagnostics)

@@ -606,26 +606,36 @@ def test_evaluate_csv_out(tmp_path):
     assert (tmp_path / "metrics.csv.manifest.json").exists()
 
 
-def test_sample_outputs_naming_one_file_is_a_usage_error(tmp_path, trained, moon_csv,
-                                                        capsys, monkeypatch):
+@pytest.mark.parametrize("out, endpoints, clash", [
+    ("e.csv", "./e.csv", "--out and --endpoints-out name the same file ./e.csv"),
+    ("t.csv", "t.csv.manifest.json",
+     "--endpoints-out and the manifest name the same file t.csv.manifest.json"),
+])
+def test_sample_outputs_naming_one_file_is_a_usage_error(tmp_path, trained, moon_csv, capsys,
+                                                        monkeypatch, out, endpoints, clash):
     monkeypatch.chdir(tmp_path)
+    before = set(tmp_path.iterdir())
     assert run_cli("sample", "--model", trained, "--data", moon_csv, "--steps", 2,
-                   "--out", "e.csv", "--endpoints-out", "./e.csv") == 2
+                   "--out", out, "--endpoints-out", endpoints) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["usage error: sample: --out and --endpoints-out name the same file ./e.csv"]
-    assert not (tmp_path / "e.csv").exists()  # nothing was simulated or written
+    assert err == [f"usage error: sample: {clash}"]
+    assert set(tmp_path.iterdir()) == before  # nothing was simulated or written
 
 
-def test_evaluate_outputs_naming_one_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("csv_out, clash", [
+    ("{tmp}/r.txt", "--out and --csv-out name the same file {tmp}/r.txt"),
+    ("r.txt.manifest.json", "--csv-out and the manifest name the same file r.txt.manifest.json"),
+])
+def test_evaluate_outputs_naming_one_file_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                          csv_out, clash):
     monkeypatch.chdir(tmp_path)
     Path("c.csv").write_text("x_0,x_1\n1,2\n3,4\n")
     assert run_cli("evaluate", "--pred", "c.csv", "--ref", "c.csv", "--out", "r.txt",
-                   "--csv-out", str(tmp_path / "r.txt")) == 2
+                   "--csv-out", csv_out.format(tmp=tmp_path)) == 2
     out, err = capsys.readouterr()
     assert out == ""  # no metric ran
-    assert err.strip().splitlines() == [
-        f"usage error: evaluate: --out and --csv-out name the same file {tmp_path / 'r.txt'}"]
-    assert not (tmp_path / "r.txt").exists()
+    assert err.strip().splitlines() == [f"usage error: evaluate: {clash.format(tmp=tmp_path)}"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.csv"]
 
 
 def test_manifests_record_phase_seconds(tmp_path, moon_csv, monkeypatch):

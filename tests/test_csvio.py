@@ -183,18 +183,13 @@ _SIGNED_FAST = st.tuples(st.booleans(), _FAST_BITS).map(lambda t: (t[0] << 63) |
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.lists(st.integers(0, 2**64 - 1) | _SIGNED_FAST, min_size=1, max_size=200))
+@given(st.lists(st.integers(0, 2**64 - 1) | _SIGNED_FAST | st.floats(width=64).map(_bits),
+                min_size=1, max_size=200))
 def test_formatter_matches_format_17g_on_any_float64(bits):
     # Arbitrary bit patterns are mostly far outside the fixed-notation range,
-    # so half the draws are taken from around it.
+    # so draws are also taken from around it, and from hypothesis' floats.
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     assert _cell_texts(values) == [format(v, ".17g").encode() for v in values.tolist()]
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.lists(st.floats(width=64), min_size=1, max_size=50))
-def test_formatter_matches_format_17g_on_drawn_floats(values):
-    assert _cell_texts(values) == [format(v, ".17g").encode() for v in values]
 
 
 def test_trajectory_writer_memory_does_not_grow_with_the_row_count(tmp_path):
