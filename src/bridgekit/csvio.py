@@ -13,8 +13,8 @@ notation (``1e-4 <= |v| < 1e16``, and zeros), the 17 digits are the correctly
 rounded integer ``N = round(|v| * 10**(16 - e))`` with ``e = floor(log10|v|)``:
 the product is taken exactly with Dekker's two-product against an exact
 ``10**k``, rounded half to even, and cut into 4-digit groups that a table
-turns into ASCII. Other cells (tiny, huge, non-finite) take ``format``
-itself, in one list per block.
+turns into ASCII. Other cells (tiny, huge, non-finite) take ``%.17g``
+itself, one ``%`` per block.
 """
 
 from __future__ import annotations
@@ -309,9 +309,9 @@ def _cells(values: np.ndarray) -> np.ndarray:
     digits = np.take(_ASCII, g).T & np.take(_KEEP, 21 * s + last, axis=0)
     _strided(cells, np.uint32, 3, 5)[...] = digits
     slow = np.flatnonzero(~fast)
-    if slow.size:
-        texts = np.array([format(x, ".17g") for x in v[slow].tolist()], f"S{_CELL - 1}")
-        cells[slow, : _CELL - 1] = texts.view(np.uint8).reshape(-1, _CELL - 1)
+    if slow.size:  # %.17g is at most 24 bytes; pad each to _CELL - 1 with zeros
+        texts = (f"%-{_CELL - 1}.17g" * slow.size % tuple(v[slow].tolist())).replace(" ", "\0")
+        cells[slow, : _CELL - 1] = np.frombuffer(texts.encode(), np.uint8).reshape(-1, _CELL - 1)
     return cells.reshape(rows, cols * _CELL)
 
 
