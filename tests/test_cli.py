@@ -118,6 +118,15 @@ def test_generate_writes_manifest(moon_csv):
     assert manifest["tool_version"]
 
 
+def test_package_version_matches_pyproject():
+    import bridgekit
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == bridgekit.__version__
+
+
 def test_manifest_records_the_environment(moon_csv, monkeypatch, tmp_path):
     import platform
 

@@ -225,6 +225,80 @@ def test_mmd_does_not_depend_on_the_worker_count(monkeypatch):
         assert values == [values[0]] * 3
 
 
+def test_mmd_exp_boundaries_match_plain_exp():
+    from bridgekit.metrics import _EXP_UNDERFLOW, _pair_kernel_sums
+
+    # The point 0 against each special point gives, at scale 0.01, an
+    # exponent fl(fl(x^2) c): on each side of -708 (below it numpy's exp is
+    # slow and subnormal), at the last nonzero exp, on -745.2 and the nearest
+    # reachable exponent on each side of it (fl(d c) skips some doubles), far
+    # below, and -inf (d^2 c overflows).
+    c = -1.0 / (2.0 * 0.01 * 0.01)
+
+    def root(target):
+        # The x >= 0 whose exponent is nearest target, among 33 doubles.
+        x, near = math.sqrt(target / c), []
+        for direction in (math.inf, 0.0):
+            y = x
+            for _ in range(16):
+                y = math.nextafter(y, direction)
+                near.append(y)
+        return min([x] + near, key=lambda y: abs(y * y * c - target))
+
+    def step(x, direction, beyond):
+        while not beyond(x * x * c):
+            x = math.nextafter(x, direction)
+        return x
+
+    edge = root(-_EXP_UNDERFLOW)
+    special = [root(t) for t in (-707.9, -708.2, -708.4, -720.0, -745.0, -745.1332191019412)]
+    special += [step(edge, 0.0, lambda e: e > -_EXP_UNDERFLOW), edge,
+                step(edge, math.inf, lambda e: e < -_EXP_UNDERFLOW)]
+    special += [root(-746.0), root(-1e5), 1e153]
+    exponents = [x * x * c for x in special]
+    assert exponents[7] == -_EXP_UNDERFLOW
+    assert exponents[8] == math.nextafter(-_EXP_UNDERFLOW, -math.inf)
+    assert -_EXP_UNDERFLOW < exponents[6] < -745.19999999
+    assert exponents[-1] == -math.inf
+    zero = np.array([[0.0]])
+    # Each special point followed by 7 points at normal exponents shares an
+    # 8-lane vector with them; the sum of that tile shows the normal lanes.
+    normal = 0.01 * np.arange(1, 8)
+    b = np.concatenate([np.concatenate([[x], normal]) for x in special])[:, None]
+    pairs = [(zero, b), (b, b)]
+    # Alone with a lane at -1e5, which sets the tile's underflowing lanes to
+    # 0, a special point's kernel value is its tile's whole sum.
+    pairs += [(zero, np.array([[x], [special[-2]]])) for x in special]
+    with np.errstate(over="ignore"):
+        expected = [serial_kernel_sums(p, q, DEFAULT_MMD_SCALES) for p, q in pairs]
+    # The lane at -745.0 (exp 5e-324) alone makes its tile's sum at 0.01.
+    assert expected[2 + 4][DEFAULT_MMD_SCALES.index(0.01)] == math.exp(-745.0) > 0.0
+    for workers in (1, 2, 3):
+        sums = _pair_kernel_sums(pairs, DEFAULT_MMD_SCALES, workers)
+        assert all(np.array_equal(s, e) for s, e in zip(sums, expected)), workers
+
+
+def test_mmd_exp_gets_no_argument_whose_exp_is_zero(monkeypatch):
+    import bridgekit.metrics as metrics
+    from bridgekit import generate_moon
+
+    # numpy's exp takes a scalar path for a vector with an argument below
+    # about -708; MMD sets the values it knows are exactly 0.0 instead.
+    lowest = []
+    real_exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        lowest.append(float(np.min(x)))
+        return real_exp(x, *args, **kwargs)
+
+    x1 = generate_moon(1500, rng=np.random.default_rng(31)).x1
+    pred = x1 + 0.05 * np.random.default_rng(32).standard_normal(x1.shape)
+    monkeypatch.setattr(metrics.np, "exp", spy)
+    mmd(pred, x1)
+    assert lowest
+    assert min(lowest) >= -metrics._EXP_UNDERFLOW
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mmd_on_far_apart_points_is_quiet(monkeypatch, workers):
     import bridgekit.metrics as metrics
@@ -587,7 +661,7 @@ def test_sinkhorn_zero_mat_vec_entry_falls_back_quietly(monkeypatch):
     assert np.all(np.isfinite(result.plan))
 
 
-def test_sinkhorn_memory_is_three_cost_sized_arrays():
+def test_sinkhorn_memory_is_two_cost_sized_arrays():
     import tracemalloc
 
     rng = np.random.default_rng(8)
@@ -600,7 +674,8 @@ def test_sinkhorn_memory_is_three_cost_sized_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * n * m * 8
+    # The cost and a scratch that ends as the returned plan.
+    assert peak < 2.5 * n * m * 8
 
 
 def test_sinkhorn_rejects_bad_eps():
