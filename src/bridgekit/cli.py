@@ -8,6 +8,12 @@ version, the wall-clock duration (for train, sample and evaluate also that
 of each phase), and the environment (Python, numpy and BLAS versions, the
 BLAS thread cap, peak RSS). Commands never mutate their inputs.
 
+``sample`` simulates and writes one wave of trajectories at a time, one
+chunk per simulation worker (``sde.simulation_wave``), so it holds one
+wave's states in memory, not every trajectory's; only the endpoints are
+kept across waves. Its trajectory file is written beside ``--out`` and
+moved onto it at the end, so a failed run leaves no partial file.
+
 The BRIDGEKIT_THREADS environment variable caps the BLAS worker threads
 (default: all cores); set it to 1 for bit-identical results across machines.
 ``import bridgekit`` applies it before numpy loads BLAS. With a cap,
@@ -22,6 +28,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import platform
 import resource
 import sys
@@ -46,7 +53,7 @@ from .datasets import generate_gauss_pairs, generate_moon, generate_t
 from .errors import BridgekitError, DataError, NumericsError, UsageError
 from .metrics import _mmd_workers, mmd, ps_l2, rmsd, sinkhorn_w
 from .plotting import write_svg
-from .sde import _SIM_CHUNK, TimeGrid, simulate_sde
+from .sde import TimeGrid, simulate_sde, simulation_wave
 from .serialize import load_model
 from .training import export_drift, read_config, save_train_result, train, write_loss_trace
 
@@ -96,13 +103,16 @@ def _write_manifest(args, anchor_path, inputs: list, config=None, **results):
     """The run record of ``args.command``, next to ``anchor_path``. ``config``
     defaults to the parsed flags other than ``--seed``; ``results`` are further
     top-level entries, such as solver diagnostics, and may set ``seed``. The
-    phases marked by ``_end_phase`` are recorded as ``phase_seconds``."""
+    phases marked by ``_end_phase`` are recorded as ``phase_seconds``, the
+    times of a phase marked more than once summed under its name."""
     if config is None:
         config = {k: v for k, v in vars(args).items()
                   if k not in ("command", "func", "seed", "marks")}
     marks = args.marks
     if len(marks) > 1:
-        results["phase_seconds"] = {name: t - marks[i][1] for i, (name, t) in enumerate(marks[1:])}
+        phases = results["phase_seconds"] = {}
+        for (_, start), (name, end) in zip(marks, marks[1:]):
+            phases[name] = phases.get(name, 0.0) + end - start
     manifest = {
         "command": args.command,
         "config": config,
@@ -196,8 +206,8 @@ def _load_x0(path) -> np.ndarray:
 
 
 def cmd_sample(args) -> int:
+    out = Path(args.out)
     if args.endpoints_out is None:
-        out = Path(args.out)
         args.endpoints_out = str(out.with_name(out.stem + "_endpoints.csv"))
     _distinct_outputs("sample", {"--out": args.out, "--endpoints-out": args.endpoints_out,
                                  "the manifest": _manifest_path(args.out)})
@@ -208,20 +218,29 @@ def cmd_sample(args) -> int:
             f"data dimension {x0.shape[1]} does not match model dimension "
             f"{model.drift.spec.input_dim}"
         )
-    starts = np.repeat(x0, args.n_poses, axis=0)
+    n_traj = len(x0) * args.n_poses  # trajectory i starts at x0[i // n_poses]
     grid = TimeGrid(args.steps)
+    n_workers, wave = simulation_wave(n_traj)
+    endpoints = np.empty((n_traj, x0.shape[1]))
+    part = out.with_name(f".{out.name}.{os.getpid()}.part")  # replaces --out once complete
     _end_phase(args, "read")
-    batch = simulate_sde(starts, model.drift, model.schedule, grid, seed=args.seed)
-    _end_phase(args, "simulate")
-    # The network keeps this thread's layer buffers (1 MB at width 64), and
-    # this thread simulates too; drop them before the files are written.
-    del model
-    write_trajectories(args.out, batch)
-    write_cloud(args.endpoints_out, batch.endpoints)
+    try:
+        for lo in range(0, n_traj, wave):
+            starts = x0[np.arange(lo, min(lo + wave, n_traj)) // args.n_poses]
+            batch = simulate_sde(starts, model.drift, model.schedule, grid,
+                                 seed=args.seed, traj_offset=lo)
+            _end_phase(args, "simulate")
+            write_trajectories(part, batch, first_id=lo)
+            endpoints[lo:lo + wave] = batch.endpoints
+            del batch  # before the next wave's states are allocated
+            _end_phase(args, "write")
+        write_cloud(args.endpoints_out, endpoints)
+        os.replace(part, out)
+    finally:
+        part.unlink(missing_ok=True)
     _end_phase(args, "write")
-    _write_manifest(args, args.out, [args.model, args.data],
-                    simulation_workers=_workers.workers(-(-batch.n_traj // _SIM_CHUNK)))
-    print(f"simulated {batch.n_traj} trajectories x {args.steps} steps -> {args.out}")
+    _write_manifest(args, args.out, [args.model, args.data], simulation_workers=n_workers)
+    print(f"simulated {n_traj} trajectories x {args.steps} steps -> {args.out}")
     return 0
 
 

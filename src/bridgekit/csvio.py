@@ -322,12 +322,14 @@ def _packed(cells: np.ndarray) -> np.ndarray:
     return cells[:, cells.any(axis=0)]
 
 
-def write_csv(path, header: list[str], values: np.ndarray, lead=None) -> None:
+def write_csv(path, header, values: np.ndarray, lead=None) -> None:
     """Write ``header``, then each row of ``values`` as ``format(v, ".17g")``
     cells, after the byte columns in the list ``lead(lo, hi)`` returns for rows
-    lo..hi-1 when ``lead`` is given (zero bytes are dropped)."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
+    lo..hi-1 when ``lead`` is given (zero bytes are dropped). A ``header`` of
+    None appends the rows to the file instead."""
+    with open(path, "ab" if header is None else "wb") as fh:
+        if header is not None:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
         for lo in range(0, len(values), _WRITE_ROWS):
             hi = min(lo + _WRITE_ROWS, len(values))
             text = _cells(values[lo:hi])
@@ -347,15 +349,20 @@ def write_cloud(path, points: np.ndarray) -> None:
     write_csv(path, _coords("x", points.shape[1]), points)
 
 
-def write_trajectories(path, batch: TrajectoryBatch) -> None:
-    """One row per (trajectory, step). Its ``traj_id,step,t`` text is taken
-    from a table of the steps, made once, and one of the block's ids."""
+def write_trajectories(path, batch: TrajectoryBatch, first_id: int = 0) -> None:
+    """One row per (trajectory, step); trajectory i of ``batch`` has id
+    ``first_id + i``. With ``first_id`` 0 the file starts with the header;
+    otherwise the rows are appended to ``path``, which should end with
+    trajectory ``first_id - 1``, so that a batch written in consecutive parts
+    gives the bytes of one call. The ``traj_id,step,t`` text is taken from a
+    table of the steps, made once, and one of the block's ids."""
     per_traj, d = batch.n_steps + 1, batch.d
     step_cells = _packed(_cells(np.column_stack([np.arange(per_traj), batch.times])))
 
     def lead(lo, hi):
-        ids, steps = np.divmod(np.arange(lo, hi), per_traj)
+        ids, steps = np.divmod(np.arange(lo, hi) + first_id * per_traj, per_traj)
         id_cells = _packed(_cells(np.arange(ids[0], ids[-1] + 1, dtype=float)[:, None]))
         return [np.take(id_cells, ids - ids[0], axis=0), np.take(step_cells, steps, axis=0)]
 
-    write_csv(path, _TRAJ_LEAD + _coords("x", d), batch.states.reshape(-1, d), lead)
+    header = None if first_id else _TRAJ_LEAD + _coords("x", d)
+    write_csv(path, header, batch.states.reshape(-1, d), lead)

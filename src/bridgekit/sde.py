@@ -354,6 +354,17 @@ def _simulate_times(
     return states if record else endpoints
 
 
+def simulation_wave(n_traj: int) -> tuple[int, int]:
+    """``(W, W * _SIM_CHUNK)`` for ``n_traj`` trajectories: the threads
+    :func:`simulate_sde` runs them on, one chunk each at a time, and the
+    trajectories of one wave of such chunks. Calls on consecutive slices of
+    that many rows, each with ``traj_offset`` at its slice's start, give the
+    paths of one call bit for bit: the chunks, their rows and their noise
+    are the same."""
+    n_workers = workers(-(-n_traj // _SIM_CHUNK))
+    return n_workers, n_workers * _SIM_CHUNK
+
+
 def simulate_sde(
     x0_batch,
     drift_fn: DriftFn,

@@ -1,8 +1,11 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import tempfile
+import tracemalloc
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -294,23 +297,107 @@ def test_sample_row_count(tmp_path, trained):
 
 
 def test_sample_output_does_not_depend_on_the_worker_count(tmp_path, trained, monkeypatch):
-    from bridgekit import _workers, sde
+    from bridgekit import TimeGrid, _workers, cli, load_model, sde, simulate_sde
+    from bridgekit import write_cloud, write_trajectories
 
+    # Chunks of 8 rows: 7 starts x 11 poses are 10 chunks, in at least 4
+    # waves of one chunk per worker at every worker count below.
+    monkeypatch.setattr(sde, "_SIM_CHUNK", 8)
+    offsets = []
+    monkeypatch.setattr(cli, "simulate_sde",
+                        lambda *a, **k: offsets.append(k["traj_offset"]) or simulate_sde(*a, **k))
     data = tmp_path / "starts.csv"
-    data.write_text("x_0,x_1\n0.5,-0.25\n")
-    n_poses = 2 * sde._SIM_CHUNK + 1  # three chunks
-    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    write_cloud(data, np.random.default_rng(5).normal(size=(7, 2)))
+    n_poses = 11
     runs = []
-    for cap in (None, 1):  # one worker, then one per core
+    for cap, cores in ((None, {0, 1, 2}), (2, {0, 1, 2, 3}), (1, {0, 1, 2})):
+        monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid, c=cores: c,
+                            raising=False)
         monkeypatch.setattr(_workers, "_BLAS_CAP", cap)
         traj = tmp_path / f"traj{len(runs)}.csv"
+        offsets.clear()
         assert run_cli("sample", "--model", trained, "--data", data, "--steps", 3,
                        "--n-poses", n_poses, "--seed", 4, "--out", traj) == 0
         manifest = json.loads(Path(f"{traj}.manifest.json").read_text())
-        runs.append((manifest["simulation_workers"], sha(traj),
-                     sha(tmp_path / f"traj{len(runs)}_endpoints.csv")))
-    assert [workers for workers, *_ in runs] == [1, 3]
-    assert runs[0][1:] == runs[1][1:]
+        workers = manifest["simulation_workers"]
+        assert offsets == list(range(0, 7 * n_poses, 8 * workers))
+        runs.append((workers, traj.read_bytes(),
+                     (tmp_path / f"traj{len(runs)}_endpoints.csv").read_bytes()))
+    assert [workers for workers, *_ in runs] == [1, 2, 3]
+    # One library call on every start at once writes the same bytes.
+    model = load_model(trained)
+    starts = np.repeat(read_cloud(data), n_poses, axis=0)
+    batch = simulate_sde(starts, model.drift, model.schedule, TimeGrid(3), seed=4)
+    write_trajectories(tmp_path / "one.csv", batch)
+    write_cloud(tmp_path / "one_endpoints.csv", batch.endpoints)
+    one = ((tmp_path / "one.csv").read_bytes(), (tmp_path / "one_endpoints.csv").read_bytes())
+    assert all(run[1:] == one for run in runs)
+
+
+def test_sample_memory_does_not_grow_with_the_trajectory_count(tmp_path, trained, monkeypatch):
+    from bridgekit import _workers, sde
+
+    # One worker and chunks of 256 rows: a wave's states take 0.2 MB, those
+    # of all 3,072 trajectories of the second run would take 2.5 MB.
+    monkeypatch.setattr(sde, "_SIM_CHUNK", 256)
+    monkeypatch.setattr(_workers, "_BLAS_CAP", None)
+    data = tmp_path / "starts.csv"
+    data.write_text("x_0,x_1\n0.5,-0.25\n")
+    peaks = []
+    for n_poses in (3 * 256, 12 * 256):
+        tracemalloc.start()
+        try:
+            assert run_cli("sample", "--model", trained, "--data", data, "--steps", 50,
+                           "--n-poses", n_poses, "--seed", 4,
+                           "--out", tmp_path / f"traj{n_poses}.csv") == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**19, peaks
+
+
+def test_failed_sample_leaves_no_partial_output(tmp_path, trained, capsys, monkeypatch):
+    from bridgekit import _workers, cli, sde
+    from bridgekit.errors import NumericsError
+
+    monkeypatch.setattr(sde, "_SIM_CHUNK", 8)
+    monkeypatch.setattr(_workers, "_BLAS_CAP", None)  # one worker: waves of 8 trajectories
+    data = tmp_path / "starts.csv"
+    data.write_text("x_0,x_1\n0.5,-0.25\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    traj, ends = out_dir / "traj.csv", out_dir / "ends.csv"
+    simulate = cli.simulate_sde
+    calls = []
+
+    def fail_second_wave(*args, **kwargs):
+        calls.append(sorted(p.name for p in out_dir.iterdir()))
+        if len(calls) == 2:
+            raise NumericsError("non-finite state at step 1 (t = 0.333333)")
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_sde", fail_second_wave)
+    for before in (None, b"traj_id,step,t,x_0,x_1\n0,0,0,1,2\n"):
+        if before is not None:
+            traj.write_bytes(before)
+            ends.write_bytes(before)
+        calls.clear()
+        capsys.readouterr()
+        assert run_cli("sample", "--model", trained, "--data", data, "--steps", 3,
+                       "--n-poses", 20, "--seed", 4, "--out", traj,
+                       "--endpoints-out", ends) == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("numerical failure: non-finite state at step 1")
+        # The first wave had been written beside --out when the second failed.
+        assert len(calls) == 2
+        assert [name for name in calls[1] if name.endswith(".part")]
+        left = sorted(p.name for p in out_dir.iterdir())
+        if before is None:
+            assert left == []
+        else:
+            assert left == ["ends.csv", "traj.csv"]
+            assert traj.read_bytes() == before and ends.read_bytes() == before
 
 
 # Runs the CLI as the console script does, importing bridgekit first, then
@@ -648,8 +735,12 @@ def test_evaluate_outputs_naming_one_file_is_a_usage_error(tmp_path, capsys, mon
 
 
 def test_manifests_record_phase_seconds(tmp_path, moon_csv, monkeypatch):
-    from bridgekit import cli
+    from bridgekit import _workers, cli, sde
 
+    # One worker and chunks of 8 rows: sample runs its 40 starts in 5 waves,
+    # each adding to the simulate and write phases.
+    monkeypatch.setattr(sde, "_SIM_CHUNK", 8)
+    monkeypatch.setattr(_workers, "_BLAS_CAP", None)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(tiny_config_text())
 
@@ -672,6 +763,17 @@ def test_manifests_record_phase_seconds(tmp_path, moon_csv, monkeypatch):
         assert sorted(recorded) == sorted(phases)
         assert all(v >= 0 for v in recorded.values())
         assert sum(recorded.values()) <= manifest["duration_seconds"]
+    # On a clock that reads 0, 1, 2, ... a phase takes one unit per mark: five
+    # waves of simulate and write, then the endpoint write, are summed.
+    clock, real_time = itertools.count(), cli.time
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: float(next(clock))))
+    counted = tmp_path / "timed" / "counted.csv"
+    assert run_cli("sample", "--model", tmp_path / "timed" / "model.bkt", "--data", moon_csv,
+                   "--steps", 3, "--seed", 4, "--out", counted) == 0
+    manifest = json.loads(Path(f"{counted}.manifest.json").read_text())
+    assert manifest["phase_seconds"] == {"read": 1.0, "simulate": 5.0, "write": 6.0}
+    assert manifest["duration_seconds"] == 13.0
+    monkeypatch.setattr(cli, "time", real_time)
     # Timing the phases changes no artifact.
     monkeypatch.setattr(cli, "_end_phase", lambda args, name: None)
     assert run_all(tmp_path / "untimed") == timed

@@ -443,6 +443,12 @@ def test_trajectory_writer_matches_per_cell_format(tmp_path, n_traj, n_steps, d)
     path = tmp_path / "traj.csv"
     write_trajectories(path, batch)
     assert path.read_bytes() == _reference_trajectory_csv(batch)
+    # Written in consecutive parts, each appended after the one before it.
+    parts = tmp_path / "parts.csv"
+    bounds = sorted({0, 1, n_traj // 2, n_traj})
+    for lo, hi in zip(bounds, bounds[1:]):
+        write_trajectories(parts, TrajectoryBatch(states[lo:hi], batch.times), first_id=lo)
+    assert parts.read_bytes() == path.read_bytes()
     again = read_trajectories(path)
     assert np.array_equal(again.states, batch.states)
     assert np.array_equal(again.times, batch.times)
