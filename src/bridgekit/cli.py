@@ -291,7 +291,8 @@ def cmd_evaluate(args) -> int:
                 value = result.value
                 diagnostics["sinkhorn"] = {"n_iters": result.n_iters,
                                            "marginal_violation": result.marginal_violation,
-                                           "converged": result.converged}
+                                           "converged": result.converged,
+                                           "log_sweeps": result.log_sweeps}
             elif name == "rmsd":
                 value = rmsd(pred, ref)
             else:

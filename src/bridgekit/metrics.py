@@ -32,13 +32,15 @@ per-tile values in the serial loop's order, so MMD does not depend on the
 worker count.
 
 Sinkhorn runs in the stabilised scaling domain (Schmitzer 2019). Each eps
-stage starts with one log-domain sweep, whose potentials are then absorbed
-into a kernel K_ij = a_i b_j exp((f_i + g_j - C_ij) / eps); the later sweeps
-are two mat-vecs, u = a / (K v) and v = b / (K^T u). A sweep whose mat-vec
-has an entry that is 0 or not finite, or whose scalings would leave
-[1e-100, 1e100], runs in the log domain instead and absorbs again. Two n x m
-arrays are live: the cost, and a scratch that holds -C/eps + shifts in a
-log-domain sweep, then K, and at the end the returned plan. The stop test
+stage of a warm start absorbs its potentials once into a kernel
+K_ij = a_i b_j exp((f_i + g_j - C_ij) / eps), and its sweeps, the first
+included, are two mat-vecs, u = a / (K v) and v = b / (K^T u). A run of one
+stage starts with one log-domain sweep instead, since its zero potentials
+can underflow the whole kernel. A sweep whose mat-vec has an entry that is 0
+or not finite, or whose scalings would leave [1e-100, 1e100], runs in the
+log domain instead and absorbs again. Two n x m arrays are live: the cost,
+and a scratch that holds -C/eps + shifts in a log-domain sweep, then K, and
+at the end the returned plan. The stop test
 needs no plan: after a v-update the columns are feasible, and row i sums to
 u_i (K v)_i, where K v is the next sweep's first mat-vec. The plan is formed
 once, from the potentials f + eps log u and g + eps log v that the stop test
@@ -255,6 +257,7 @@ class SinkhornResult:
     n_iters: int
     marginal_violation: float
     converged: bool
+    log_sweeps: int  # sweeps of n_iters that ran in the log domain
 
 
 def _scaling(weight: float, kv: np.ndarray):
@@ -340,22 +343,27 @@ def sinkhorn_w(
 
     # The potentials are f + e log u and g + e log v: (f, g) are held in the
     # kernel K = plan_of(f, g, e), and a sweep on it is two mat-vecs,
-    # u = a / (K v) and v = b / (K^T u). A stage starts with one log-domain
-    # sweep, which absorbs the potentials into K and resets u = v = 1; so
-    # does any sweep whose mat-vec or scaling leaves the safe range.
+    # u = a / (K v) and v = b / (K^T u). Each stage of a warm start absorbs
+    # its potentials into K first, so its first sweep is a scaling sweep too
+    # (in exact arithmetic, the log-domain sweep from (f, g)). A run of one
+    # stage starts with a log-domain sweep, which absorbs the potentials into
+    # K and resets u = v = 1; so does any sweep whose mat-vec or scaling
+    # leaves the safe range.
     f, g = np.zeros(n), np.zeros(m)
     u, v = np.ones(n), np.ones(m)
-    it = 0
+    it = log_sweeps = 0
     violation = None
     converged = False
     for e in stages:
         final = e == eps
         stop = max_iters if final else min(it + 10, max_iters)
-        u_next = None  # a / (K v) for the next sweep; None: a log-domain sweep
+        # a / (K v) for the next sweep; None: a log-domain sweep
+        u_next = _scaling(a_w, plan_of(f, g, e).sum(axis=1)) if len(stages) > 1 else None
         f_next = None  # the next f-update, when the log-domain stop test made it
         while it < stop:
             v_next = None if u_next is None else _scaling(b_w, work.T @ u_next)
             if v_next is None:
+                log_sweeps += 1
                 f = f_update(g + e * np.log(v), e) if f_next is None else f_next
                 g = half_sweep((f / e + log_a)[:, None], 0, e)
                 plan_of(f, g, e)
@@ -400,6 +408,7 @@ def sinkhorn_w(
         n_iters=it,
         marginal_violation=violation,
         converged=converged,
+        log_sweeps=log_sweeps,
     )
 
 

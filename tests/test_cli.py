@@ -795,7 +795,8 @@ def test_evaluate_manifest_records_sinkhorn_diagnostics(tmp_path):
     expected = sinkhorn_w(read_cloud(pred), read_cloud(ref), eps=0.05)
     assert manifest["sinkhorn"] == {"n_iters": expected.n_iters,
                                     "marginal_violation": expected.marginal_violation,
-                                    "converged": expected.converged}
+                                    "converged": expected.converged,
+                                    "log_sweeps": expected.log_sweeps}
     assert expected.converged and expected.n_iters > 0
     # The report keeps one "name = value" line per metric.
     assert [line.split(" = ")[0] for line in report.read_text().splitlines()] == [
@@ -803,6 +804,29 @@ def test_evaluate_manifest_records_sinkhorn_diagnostics(tmp_path):
     assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "ps_l2",
                    "--out", tmp_path / "r.txt") == 0
     assert "sinkhorn" not in json.loads((tmp_path / "r.txt.manifest.json").read_text())
+
+
+def test_evaluate_sinkhorn_beyond_its_sweeps_warns_and_records_it(tmp_path, capsys):
+    # eps far below the cost scale: these clouds converge at eps 1e-3 only
+    # after 24,337 sweeps, so evaluate's 5000 stop short of tol.
+    from bridgekit import write_cloud
+
+    rng = np.random.default_rng(12)
+    pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
+    write_cloud(pred, rng.normal(size=(300, 2)))
+    write_cloud(ref, 0.8 * rng.normal(size=(310, 2)) + 0.5)
+    report = tmp_path / "report.txt"
+    assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "sinkhorn",
+                   "--eps", 1e-3, "--out", report) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: sinkhorn stopped at 5000 iterations with marginal "
+                             "violation ")
+    manifest = json.loads((tmp_path / "report.txt.manifest.json").read_text())
+    assert manifest["sinkhorn"]["converged"] is False
+    assert manifest["sinkhorn"]["n_iters"] == 5000
+    assert manifest["sinkhorn"]["marginal_violation"] > 1e-6
+    assert report.read_text().startswith("sinkhorn = ")
 
 
 def test_evaluate_manifest_records_mmd_workers(tmp_path, monkeypatch):

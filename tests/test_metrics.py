@@ -645,6 +645,71 @@ def test_sinkhorn_scaling_out_of_range_is_absorbed(monkeypatch):
     assert result.value == pytest.approx(value, rel=1e-12)
 
 
+def test_sinkhorn_out_of_range_input_counts_its_log_sweeps():
+    # The input of test_sinkhorn_scaling_out_of_range_is_absorbed: its one
+    # stage starts in the log domain, and its scalings leave the safe range.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(5, 2))
+    y = 0.8 * rng.normal(size=(8, 2)) + 0.5
+    result = sinkhorn_w(x, y, eps=1e-3, warm_start=False, max_iters=20_000)
+    assert result.converged
+    assert result.log_sweeps >= 2
+
+
+def test_sinkhorn_warm_start_runs_no_log_sweep_on_well_scaled_clouds():
+    # Every stage absorbs its potentials into the kernel, so every sweep, a
+    # stage's first included, is a scaling sweep.
+    rng = np.random.default_rng(352)
+    x = rng.normal(size=(200, 2))
+    y = 0.8 * rng.normal(size=(150, 2)) + 0.5
+    result = sinkhorn_w(x, y, eps=0.02)
+    assert result.converged and result.n_iters > 10
+    assert result.log_sweeps == 0
+
+
+def refuse_stage_starts(monkeypatch, n):
+    """Make ``_scaling`` refuse the first u-scaling of every stage after the
+    first, on clouds of n and m != n points; returns the list of refusals.
+
+    In a run whose scalings all stay in range, the calls alternate between a
+    u-scaling (of a length-n row sum or mat-vec) and a v-scaling; a stage
+    after the first opens with a u-scaling that follows a u-scaling. After a
+    refusal, the log-domain sweep's u-scaling follows one too, and is not a
+    stage start."""
+    import bridgekit.metrics as metrics
+
+    real_scaling = metrics._scaling
+    last, refused = [None], []
+
+    def spy(weight, kv):
+        scaling = real_scaling(weight, kv)
+        last[0] = "v" if len(kv) != n else "refused" if last[0] == "u" else "u"
+        if last[0] == "refused":
+            refused.append(scaling is not None)
+            return None
+        return scaling
+
+    monkeypatch.setattr(metrics, "_scaling", spy)
+    return refused
+
+
+def test_sinkhorn_stage_start_refused_falls_back_to_a_log_sweep(monkeypatch):
+    rng = np.random.default_rng(352)
+    x = rng.normal(size=(200, 2))
+    y = 0.8 * rng.normal(size=(150, 2)) + 0.5
+    refused = refuse_stage_starts(monkeypatch, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sinkhorn_w(x, y, eps=0.02)
+    value, n_iters, _ = reference_sinkhorn(x, y, eps=0.02)
+    # Every stage after the first opened in the log domain, and no other sweep.
+    assert len(refused) >= 2 and all(refused)
+    assert result.log_sweeps == len(refused)
+    assert result.converged
+    assert abs(result.n_iters - n_iters) <= 1
+    assert result.value == pytest.approx(value, rel=1e-12)
+
+
 def test_sinkhorn_zero_mat_vec_entry_falls_back_quietly(monkeypatch):
     # Costs near 1e8 at eps 1e-12: rounding in f / eps leaves a whole column
     # of the kernel at 0, so K^T u has an entry that is exactly 0.
