@@ -8,11 +8,11 @@ version, the wall-clock duration (for train, sample and evaluate also that
 of each phase), and the environment (Python, numpy and BLAS versions, the
 BLAS thread cap, peak RSS). Commands never mutate their inputs.
 
-``sample`` simulates and writes one wave of trajectories at a time, one
-chunk per simulation worker (``sde.simulation_wave``), so it holds one
-wave's states in memory, not every trajectory's; only the endpoints are
-kept across waves. Its trajectory file is written beside ``--out`` and
-moved onto it at the end, so a failed run leaves no partial file.
+Each output and the manifest are written to part files beside them, which
+``_write_manifest`` moves into place, the manifest last, and ``main`` removes
+after a failed run. ``sample`` simulates and writes one wave of trajectories
+at a time, one chunk per simulation worker (``sde.simulation_wave``); only
+the endpoints are kept across waves.
 
 The BRIDGEKIT_THREADS environment variable caps the BLAS worker threads
 (default: all cores); set it to 1 for bit-identical results across machines.
@@ -25,6 +25,7 @@ outputs do not depend on the worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -95,23 +96,41 @@ def _end_phase(args, name: str) -> None:
     args.marks.append((name, time.monotonic()))
 
 
-def _manifest_path(anchor_path) -> str:
-    return str(anchor_path) + ".manifest.json"
+def _outputs(args, paths: dict) -> dict:
+    """The part file to write for each output flag (or name) of ``paths`` not
+    None, and for the first one's manifest, recorded in ``args.outputs``. Two
+    with one real path are a usage error, and a directory is a data error."""
+    paths = {flag: path for flag, path in paths.items() if path is not None}
+    if paths:
+        paths["the manifest"] = f"{next(iter(paths.values()))}.manifest.json"
+    seen, parts = {}, {}
+    for flag, path in paths.items():
+        where = os.path.realpath(path)  # Path.resolve raises on a symbolic link loop
+        if where in seen:
+            raise UsageError(f"{args.command}: {seen[where]} and {flag} name the same file {path}")
+        if os.path.isdir(where):
+            raise DataError(f"{args.command}: {flag} names a directory: {path}")
+        seen[where] = flag
+        path = Path(path)
+        parts[flag] = path.parent / f".{path.name}.{os.getpid()}.part"
+        args.outputs[parts[flag]] = path
+    return parts
 
 
-def _write_manifest(args, anchor_path, inputs: list, config=None, **results):
-    """The run record of ``args.command``, next to ``anchor_path``. ``config``
-    defaults to the parsed flags other than ``--seed``; ``results`` are further
-    top-level entries, such as solver diagnostics, and may set ``seed``. The
-    phases marked by ``_end_phase`` are recorded as ``phase_seconds``, the
-    times of a phase marked more than once summed under its name."""
+def _write_manifest(args, inputs: list, config=None, **results):
+    """The run record of ``args.command``, if it has outputs; then every part
+    goes onto its path, the manifest last. ``config`` defaults to the parsed
+    flags other than ``--seed``; ``results`` are further top-level entries,
+    such as solver diagnostics, and may set ``seed``. The phases marked by
+    ``_end_phase`` are recorded as ``phase_seconds``, summed by name."""
+    if not args.outputs:
+        return
     if config is None:
         config = {k: v for k, v in vars(args).items()
-                  if k not in ("command", "func", "seed", "marks")}
-    marks = args.marks
-    if len(marks) > 1:
+                  if k not in ("command", "func", "seed", "marks", "outputs")}
+    if len(args.marks) > 1:
         phases = results["phase_seconds"] = {}
-        for (_, start), (name, end) in zip(marks, marks[1:]):
+        for (_, start), (name, end) in zip(args.marks, args.marks[1:]):
             phases[name] = phases.get(name, 0.0) + end - start
     manifest = {
         "command": args.command,
@@ -119,13 +138,16 @@ def _write_manifest(args, anchor_path, inputs: list, config=None, **results):
         "seed": getattr(args, "seed", None),
         "input_hashes": {str(p): _sha256(p) for p in inputs},
         "tool_version": __version__,
-        "duration_seconds": time.monotonic() - marks[0][1],
+        "duration_seconds": time.monotonic() - args.marks[0][1],
         "environment": _environment(),
         **results,
     }
-    with open(_manifest_path(anchor_path), "w", encoding="utf-8") as fh:
+    *_, manifest_part = args.outputs
+    with open(manifest_part, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    for part, path in args.outputs.items():
+        os.replace(part, path)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +156,7 @@ def _write_manifest(args, anchor_path, inputs: list, config=None, **results):
 
 
 def cmd_generate(args) -> int:
+    parts = _outputs(args, {"--out": args.out})
     rng = np.random.default_rng(args.seed)
     if args.dataset != "gauss-pairs":
         given = [flag for flag, value in (("--dim", args.dim), ("--shift", args.shift))
@@ -156,30 +179,17 @@ def cmd_generate(args) -> int:
             ds = generate_gauss_pairs(args.n, d=args.dim, shift=shift, rng=rng)
     except ValueError as exc:
         raise UsageError(f"generate --dataset {args.dataset}: {exc}") from None
-    write_pairs(args.out, ds)
-    _write_manifest(args, args.out, [])
+    write_pairs(parts["--out"], ds)
+    _write_manifest(args, [])
     print(f"wrote {len(ds)} pairs (d = {ds.d}) to {args.out}")
     return 0
 
 
-def _distinct_outputs(command: str, paths: dict) -> None:
-    """Usage error when two entries of ``paths``, which maps output flags and
-    the manifest to paths (or None), name the same file: the second write
-    would overwrite the first."""
-    seen = {}
-    for flag, path in paths.items():
-        if path is None:
-            continue
-        where = Path(path).resolve()
-        if where in seen:
-            raise UsageError(f"{command}: {seen[where]} and {flag} name the same file {path}")
-        seen[where] = flag
-
-
 def cmd_train(args) -> int:
+    out_dir = Path(args.out)
+    parts = _outputs(args, {name: out_dir / name for name in ("model.bkt", "loss_trace.csv")})
     config = read_config(args.config)
     dataset = read_pairs(args.data)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _end_phase(args, "read")
 
@@ -190,13 +200,11 @@ def cmd_train(args) -> int:
 
     result = train(dataset, config, progress=progress)
     _end_phase(args, "train")
-    model_path = out_dir / "model.bkt"
-    save_train_result(model_path, result)
-    write_loss_trace(out_dir / "loss_trace.csv", result.trace)
+    save_train_result(parts["model.bkt"], result)
+    write_loss_trace(parts["loss_trace.csv"], result.trace)
     _end_phase(args, "write")
-    _write_manifest(args, model_path, [args.data, args.config], config=config.to_dict(),
-                    seed=config.seed)
-    print(f"trained {config.n_iters} iterations; model at {model_path}")
+    _write_manifest(args, [args.data, args.config], config=config.to_dict(), seed=config.seed)
+    print(f"trained {config.n_iters} iterations; model at {out_dir / 'model.bkt'}")
     return 0
 
 
@@ -208,9 +216,8 @@ def _load_x0(path) -> np.ndarray:
 def cmd_sample(args) -> int:
     out = Path(args.out)
     if args.endpoints_out is None:
-        args.endpoints_out = str(out.with_name(out.stem + "_endpoints.csv"))
-    _distinct_outputs("sample", {"--out": args.out, "--endpoints-out": args.endpoints_out,
-                                 "the manifest": _manifest_path(args.out)})
+        args.endpoints_out = str(out.parent / f"{out.stem}_endpoints.csv")
+    parts = _outputs(args, {"--out": args.out, "--endpoints-out": args.endpoints_out})
     model = load_model(args.model)
     x0 = _load_x0(args.data)
     if x0.shape[1] != model.drift.spec.input_dim:
@@ -222,24 +229,19 @@ def cmd_sample(args) -> int:
     grid = TimeGrid(args.steps)
     n_workers, wave = simulation_wave(n_traj)
     endpoints = np.empty((n_traj, x0.shape[1]))
-    part = out.with_name(f".{out.name}.{os.getpid()}.part")  # replaces --out once complete
     _end_phase(args, "read")
-    try:
-        for lo in range(0, n_traj, wave):
-            starts = x0[np.arange(lo, min(lo + wave, n_traj)) // args.n_poses]
-            batch = simulate_sde(starts, model.drift, model.schedule, grid,
-                                 seed=args.seed, traj_offset=lo)
-            _end_phase(args, "simulate")
-            write_trajectories(part, batch, first_id=lo)
-            endpoints[lo:lo + wave] = batch.endpoints
-            del batch  # before the next wave's states are allocated
-            _end_phase(args, "write")
-        write_cloud(args.endpoints_out, endpoints)
-        os.replace(part, out)
-    finally:
-        part.unlink(missing_ok=True)
+    for lo in range(0, n_traj, wave):
+        starts = x0[np.arange(lo, min(lo + wave, n_traj)) // args.n_poses]
+        batch = simulate_sde(starts, model.drift, model.schedule, grid,
+                             seed=args.seed, traj_offset=lo)
+        _end_phase(args, "simulate")
+        write_trajectories(parts["--out"], batch, first_id=lo)
+        endpoints[lo:lo + wave] = batch.endpoints
+        del batch  # before the next wave's states are allocated
+        _end_phase(args, "write")
+    write_cloud(parts["--endpoints-out"], endpoints)
     _end_phase(args, "write")
-    _write_manifest(args, args.out, [args.model, args.data], simulation_workers=n_workers)
+    _write_manifest(args, [args.model, args.data], simulation_workers=n_workers)
     print(f"simulated {n_traj} trajectories x {args.steps} steps -> {args.out}")
     return 0
 
@@ -259,9 +261,7 @@ def _load_cloud_arg(spec: str, what: str) -> tuple[np.ndarray, str]:
 
 
 def cmd_evaluate(args) -> int:
-    anchor = args.out or args.csv_out
-    _distinct_outputs("evaluate", {"--out": args.out, "--csv-out": args.csv_out,
-                                   "the manifest": anchor and _manifest_path(anchor)})
+    parts = _outputs(args, {"--out": args.out, "--csv-out": args.csv_out})
     pred, pred_path = _load_cloud_arg(args.pred, "--pred")
     ref, ref_path = _load_cloud_arg(args.ref, "--ref")
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -306,20 +306,19 @@ def cmd_evaluate(args) -> int:
     report = "\n".join(lines) + "\n"
     print(report, end="")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        parts["--out"].write_text(report, encoding="utf-8")
     if args.csv_out:
-        write_csv(args.csv_out, names, np.array([values], dtype=float))
+        write_csv(parts["--csv-out"], names, np.array([values], dtype=float))
     _end_phase(args, "write")
-    if anchor:  # stdout-only runs produce no files for a manifest to sit next to
-        args.metrics = names
-        _write_manifest(args, anchor, [pred_path, ref_path], **diagnostics)
+    args.metrics = names
+    _write_manifest(args, [pred_path, ref_path], **diagnostics)
     return 0
 
 
 def cmd_export_drift(args) -> int:
-    export_drift(args.model, args.out)
-    _write_manifest(args, args.out, [args.model])
+    parts = _outputs(args, {"--out": args.out})
+    export_drift(args.model, parts["--out"])
+    _write_manifest(args, [args.model])
     print(f"exported drift-only model to {args.out}")
     return 0
 
@@ -332,14 +331,15 @@ def _is_blank(path) -> bool:
 
 
 def cmd_plot(args) -> int:
+    parts = _outputs(args, {"--out": args.out})
     trajectories = None
     if args.traj and not _is_blank(args.traj):
         trajectories = read_trajectories(args.traj)
     pairs = None
     if args.pairs:
         pairs = read_pairs(args.pairs)
-    write_svg(args.out, trajectories, pairs)
-    _write_manifest(args, args.out, [p for p in (args.traj, args.pairs) if p])
+    write_svg(parts["--out"], trajectories, pairs)
+    _write_manifest(args, [p for p in (args.traj, args.pairs) if p])
     print(f"wrote {args.out}")
     return 0
 
@@ -433,6 +433,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.marks = [("start", time.monotonic())]
+    args.outputs = {}  # part file -> output path, filled by _outputs
     try:
         return args.func(args)
     except UsageError as exc:
@@ -450,6 +451,10 @@ def main(argv=None) -> int:
     except BridgekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:  # parts of a failed run; unlink fails on moved parts and on names too long
+        for part in args.outputs:
+            with contextlib.suppress(OSError):
+                part.unlink()
 
 
 def entry() -> None:

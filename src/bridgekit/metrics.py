@@ -96,12 +96,11 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-    """(|a_i|^2 + |b_j|^2) - 2 a_i.b_j, clamped at 0, into ``out``; ``work``
+    """(|a_i|^2 + |b_j|^2) + (-2 a_i).b_j, clamped at 0, into ``out``; ``work``
     is an array of the same shape that is overwritten."""
     np.add(np.sum(a * a, axis=1)[:, None], np.sum(b * b, axis=1)[None, :], out=out)
-    np.matmul(a, b.T, out=work)
-    np.multiply(work, 2.0, out=work)
-    np.subtract(out, work, out=out)
+    np.matmul(a * -2.0, b.T, out=work)
+    np.add(out, work, out=out)
     np.maximum(out, 0.0, out=out)
 
 

@@ -3,6 +3,8 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import shutil
 import tempfile
 import tracemalloc
 import types
@@ -1053,3 +1055,253 @@ def test_commands_on_malformed_csv_exit_with_a_documented_code_and_one_line(text
             assert "Traceback" not in err, (argv[0], text, err)
             if code != 0:
                 assert len(err.strip().splitlines()) == 1, (argv[0], text, err)
+
+
+# ---------------------------------------------------------------------------
+# outputs: written as part files, moved into place with their manifest
+# ---------------------------------------------------------------------------
+
+
+def test_generate_out_name_leaving_no_room_for_its_manifest_writes_nothing(tmp_path, capsys):
+    # The name fits; its manifest's, 14 bytes longer, does not.
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    out = tmp_path / ("g" * (name_max - 15) + ".csv")
+    assert run_cli("generate", "--dataset", "moon", "--n", 10, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", [".", ".."])
+def test_sample_out_naming_a_directory_by_dots_writes_nothing(tmp_path, trained, moon_csv,
+                                                             capsys, monkeypatch, out):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_cli("sample", "--model", trained, "--data", moon_csv, "--steps", 2,
+                   "--out", out) in (2, 3)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == before  # no .._endpoints.csv either
+
+
+@pytest.mark.parametrize("command", ["sample", "evaluate"])
+def test_second_output_naming_a_directory_writes_nothing(tmp_path, capsys, request, command):
+    cloud = tmp_path / "c.csv"
+    cloud.write_text("x_0,x_1\n1,2\n3,4\n")
+    if command == "sample":
+        argv = ["sample", "--model", request.getfixturevalue("trained"), "--data", cloud,
+                "--steps", 2, "--out", tmp_path / "t.csv", "--endpoints-out"]
+    else:
+        argv = ["evaluate", "--pred", cloud, "--ref", cloud, "--metrics", "ps_l2",
+                "--out", tmp_path / "r.txt", "--csv-out"]
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_cli(*argv, taken) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("data error:") and str(taken) in err
+    assert sorted(tmp_path.rglob("*")) == before  # the first output did not land alone
+
+
+def test_train_failing_at_its_loss_trace_leaves_no_model(tmp_path, moon_csv, capsys,
+                                                       monkeypatch):
+    def disk_full(path, trace):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr("bridgekit.cli.write_loss_trace", disk_full)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(tiny_config_text())
+    out = tmp_path / "m"
+    assert run_cli("train", "--data", moon_csv, "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "No space left on device" in err
+    assert list(out.iterdir()) == []
+
+
+def test_complete_runs_land_every_output_and_manifest_and_no_part(tmp_path, moon_csv,
+                                                                   trained):
+    traj = tmp_path / "traj.csv"
+    runs = {
+        "generate": ["--dataset", "t", "--n", 6, "--out", tmp_path / "t.csv"],
+        "sample": ["--model", trained, "--data", moon_csv, "--steps", 2, "--out", traj],
+        "evaluate": ["--pred", tmp_path / "traj_endpoints.csv", "--ref", f"{moon_csv}:x1",
+                     "--out", tmp_path / "r.txt", "--csv-out", tmp_path / "r.csv"],
+        "export-drift": ["--model", trained, "--out", tmp_path / "d.bkt"],
+        "plot": ["--traj", traj, "--pairs", moon_csv, "--out", tmp_path / "p.svg"],
+    }
+    for command, argv in runs.items():
+        assert run_cli(command, *argv) == 0
+    # train ran in the fixture
+    names = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert not [name for name in names if name.endswith(".part")]
+    outputs = ["moon.csv", "model_dir/model.bkt", "t.csv", "traj.csv", "r.txt", "d.bkt",
+               "p.svg"]
+    assert names == {"cfg.txt", "model_dir/loss_trace.csv", "traj_endpoints.csv", "r.csv",
+                     *outputs, *(f"{name}.manifest.json" for name in outputs)}
+
+
+# ---------------------------------------------------------------------------
+# generated command lines: the exit-code contract, and no file left on failure
+# ---------------------------------------------------------------------------
+
+_NAME_MAX = os.pathconf(tempfile.gettempdir(), "PC_NAME_MAX")
+_GOOD_CONFIG = tiny_config_text(n_iters=2, batch_size=4)
+_CONFIGS = [_GOOD_CONFIG] + [_GOOD_CONFIG.replace(old, new) for old, new in [
+    ("n_iters = 2", "n_iters = two"),  # wrong type
+    ("batch_size = 4", "batch_size = 0"),  # out of range
+    ("lr_drift = 0.001", "lr_drift = nan"),  # not finite
+    ("g = 1.0", "g = inf"),
+    ("lambda_mode = constant", "lambda_mode = quadratic"),
+    ("t_clip = 0.001\n", ""),  # missing key
+    ("seed = 3", "seed = 3\nseed = 4"),  # duplicate key
+    ("seed = 3", "seed = 3\nmomentum = 0.9"),  # unknown key
+    ("seed = 3", "seed = 3\nno equals sign"),
+]]
+
+
+@pytest.fixture(scope="module")
+def guard_inputs(tmp_path_factory):
+    """Input files named by ``_command_line``: good ones, and ones each
+    command refuses."""
+    from bridgekit import TrajectoryBatch, write_cloud, write_trajectories
+    from bridgekit.training import export_drift
+
+    inputs = tmp_path_factory.mktemp("guard_inputs")
+    rng = np.random.default_rng(0)
+    write_pairs(inputs / "pairs.csv", AlignedDataset(rng.normal(size=(8, 2)),
+                                                     rng.normal(size=(8, 2))))
+    write_pairs(inputs / "pairs3.csv", AlignedDataset(rng.normal(size=(3, 3)),
+                                                      rng.normal(size=(3, 3))))
+    write_cloud(inputs / "cloud.csv", rng.normal(size=(6, 2)))
+    write_cloud(inputs / "cloud3.csv", rng.normal(size=(4, 3)))
+    write_cloud(inputs / "one.csv", rng.normal(size=(1, 2)))
+    (inputs / "bad.csv").write_text("x_0,x_1\n1,abc\n")
+    (inputs / "blank.csv").write_text("")
+    write_trajectories(inputs / "traj.csv", TrajectoryBatch(times=np.linspace(0, 1, 3),
+                                                            states=rng.normal(size=(2, 3, 2))))
+    shutil.copy(V1_PAIR, inputs / "model.bkt")
+    export_drift(V1_PAIR, inputs / "drift.bkt")
+    for i, text in enumerate(_CONFIGS):
+        (inputs / f"cfg{i}.txt").write_text(text)
+    return inputs
+
+
+def _usually(draw, good, *bad):
+    """``good`` in two draws of three, otherwise one of ``bad``."""
+    return good if draw(st.integers(0, 2)) else draw(st.sampled_from(bad))
+
+
+def _output(draw, name, *others):
+    """An output path relative to the working directory ``work``: usually a
+    new file ``name``, otherwise the file ``old.csv``, the directory ``taken``
+    or the symbolic link loop ``loop`` beside ``work``, a name near the
+    file-name limit, ``work`` itself or its parent, a path in a missing
+    directory, or one of ``others``."""
+    path = _usually(draw, name, "../old.csv", "../taken", "../loop", "near the limit", ".",
+                    "..", f"missing/{name}", *others)
+    if path == "near the limit":
+        path = "n" * (_NAME_MAX - 4 + draw(st.integers(-30, 1))) + ".csv"
+    return path
+
+
+@st.composite
+def _command_line(draw):
+    """Argv for one of the six commands, every value one that argparse takes,
+    inputs usually good; ``@name`` stands for the file ``name`` of
+    ``guard_inputs``."""
+    command = draw(st.sampled_from(["generate", "train", "sample", "evaluate", "export-drift",
+                                    "plot"]))
+
+    def pick(*options):
+        return draw(st.sampled_from(options))
+
+    def usually(good, *bad):
+        return _usually(draw, good, *bad)
+
+    argv = [command]
+    if command == "generate":
+        argv += ["--dataset", pick("moon", "t", "gauss-pairs"), "--n", draw(st.integers(1, 30)),
+                 "--seed", draw(st.integers(0, 3))]
+        if draw(st.booleans()):
+            argv += ["--noise-std", pick("0", "0.3")]
+        if draw(st.booleans()):
+            argv += ["--dim", draw(st.integers(1, 3))]
+        if draw(st.booleans()):
+            argv += ["--shift", usually("1,2", "0.5", "1,2,3", "a,b", "inf,1", "")]
+        argv += ["--out", _output(draw, "g.csv")]
+    elif command == "train":
+        argv += ["--data", usually("@pairs.csv", "@cloud.csv", "@bad.csv", "@missing.csv"),
+                 "--config", f"@cfg{usually(0, *range(1, len(_CONFIGS)))}.txt",
+                 "--out", _output(draw, "m")]
+    elif command == "sample":
+        out = _output(draw, "t.csv")
+        argv += ["--model", usually("@model.bkt", "@drift.bkt", "@pairs.csv", "@missing.bkt"),
+                 "--data", usually(pick("@pairs.csv", "@cloud.csv"), "@cloud3.csv", "@bad.csv",
+                                   "@blank.csv"),
+                 "--steps", draw(st.integers(1, 3)), "--n-poses", draw(st.integers(1, 2)),
+                 "--out", out]
+        if draw(st.booleans()):
+            argv += ["--endpoints-out", _output(draw, "e.csv", out, f"{out}.manifest.json")]
+    elif command == "evaluate":
+        bad = ["@pairs.csv", "@cloud3.csv", "@one.csv", "@bad.csv", "@missing.csv"]
+        argv += ["--pred", usually("@pairs.csv:x0", *bad),
+                 "--ref", usually(pick("@pairs.csv:x1", "@cloud.csv"), *bad),
+                 "--metrics", usually(pick("mmd,ps_l2", "sinkhorn", "mmd,sinkhorn,rmsd,ps_l2"),
+                                      "rmsd", "bogus", "rmsd,rmsd", ","),
+                 "--eps", pick("0.1", "1")]
+        out = _output(draw, "r.txt") if draw(st.booleans()) else None
+        if out is not None:
+            argv += ["--out", out]
+        if draw(st.booleans()):
+            clashes = [] if out is None else [out, f"{out}.manifest.json"]
+            argv += ["--csv-out", _output(draw, "r.csv", *clashes)]
+    elif command == "export-drift":
+        argv += ["--model", usually("@model.bkt", "@drift.bkt", "@pairs.csv", "@missing.bkt"),
+                 "--out", _output(draw, "d.bkt")]
+    else:
+        if draw(st.booleans()):
+            argv += ["--traj", usually(pick("@traj.csv", "@blank.csv"), "@bad.csv", "@cloud.csv")]
+        if draw(st.booleans()):
+            argv += ["--pairs", usually("@pairs.csv", "@pairs3.csv", "@cloud.csv")]
+        argv += ["--out", _output(draw, "p.svg")]
+    return argv
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_command_line())
+def test_generated_command_lines_keep_the_exit_code_contract(guard_inputs, argv):
+    argv = [str(guard_inputs / a[1:]) if str(a).startswith("@") else str(a) for a in argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "work").mkdir()
+        (tmp / "taken").mkdir()
+        (tmp / "old.csv").write_text("x_0,x_1\n0,0\n")
+        (tmp / "loop").symlink_to("loop")
+        before = _files(tmp), _files(guard_inputs)
+        cwd = os.getcwd()
+        err = io.StringIO()
+        os.chdir(tmp / "work")
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err, (argv, err)
+        if code == 0:
+            assert not list(tmp.rglob("*.part")), argv
+        else:
+            assert len(err.strip().splitlines()) == 1, (argv, err)
+            assert (_files(tmp), _files(guard_inputs)) == before, (argv, err)
