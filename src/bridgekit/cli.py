@@ -6,13 +6,13 @@ deterministic; each run writes exactly one JSON manifest next to its outputs
 recording the command, its full configuration, input file hashes, the tool
 version, the wall-clock duration (for train, sample and evaluate also that
 of each phase), and the environment (Python, numpy and BLAS versions, the
-BLAS thread cap, peak RSS). Commands never mutate their inputs.
-
-Each output and the manifest are written to part files beside them, which
-``_write_manifest`` moves into place, the manifest last, and ``main`` removes
-after a failed run. ``sample`` simulates and writes one wave of trajectories
-at a time, one chunk per simulation worker (``sde.simulation_wave``); only
-the endpoints are kept across waves.
+BLAS thread cap, peak RSS). Commands never mutate their inputs: ``_outputs``
+refuses an output that names an input, before any file is read. Outputs and
+the manifest are written to part files beside them, which ``_write_manifest``
+moves into place, the manifest last, and ``main`` removes after a failed run.
+``sample`` simulates and writes one wave of trajectories at a time, one chunk
+per simulation worker (``sde.simulation_wave``); only the endpoints are kept
+across waves.
 
 The BRIDGEKIT_THREADS environment variable caps the BLAS worker threads
 (default: all cores); set it to 1 for bit-identical results across machines.
@@ -50,7 +50,8 @@ from .csvio import (
     write_pairs,
     write_trajectories,
 )
-from .datasets import generate_gauss_pairs, generate_moon, generate_t
+from .datasets import (MOON_DEFAULT_NOISE, T_DEFAULT_NOISE, generate_gauss_pairs, generate_moon,
+                       generate_t)
 from .errors import BridgekitError, DataError, NumericsError, UsageError
 from .metrics import _mmd_workers, mmd, ps_l2, rmsd, sinkhorn_w
 from .plotting import write_svg
@@ -96,15 +97,17 @@ def _end_phase(args, name: str) -> None:
     args.marks.append((name, time.monotonic()))
 
 
-def _outputs(args, paths: dict) -> dict:
-    """The part file to write for each output flag (or name) of ``paths`` not
-    None, and for the first one's manifest, recorded in ``args.outputs``. Two
-    with one real path are a usage error, and a directory is a data error."""
-    paths = {flag: path for flag, path in paths.items() if path is not None}
-    if paths:
-        paths["the manifest"] = f"{next(iter(paths.values()))}.manifest.json"
-    seen, parts = {}, {}
-    for flag, path in paths.items():
+def _outputs(args, inputs: dict, outputs: dict) -> dict:
+    """Part files of the ``outputs`` not None and of their manifest, kept in
+    ``args.outputs`` (nonempty ``inputs`` in ``args.inputs``). An output at the
+    real path of an input or another output exits 2; at a directory, 3."""
+    args.inputs = [path for path in inputs.values() if path]
+    outputs = {flag: path for flag, path in outputs.items() if path is not None}
+    if outputs:
+        outputs["the manifest"] = f"{next(iter(outputs.values()))}.manifest.json"
+    seen = {os.path.realpath(path): flag for flag, path in inputs.items() if path}
+    parts = {}
+    for flag, path in outputs.items():
         where = os.path.realpath(path)  # Path.resolve raises on a symbolic link loop
         if where in seen:
             raise UsageError(f"{args.command}: {seen[where]} and {flag} name the same file {path}")
@@ -117,7 +120,7 @@ def _outputs(args, paths: dict) -> dict:
     return parts
 
 
-def _write_manifest(args, inputs: list, config=None, **results):
+def _write_manifest(args, config=None, **results):
     """The run record of ``args.command``, if it has outputs; then every part
     goes onto its path, the manifest last. ``config`` defaults to the parsed
     flags other than ``--seed``; ``results`` are further top-level entries,
@@ -127,7 +130,7 @@ def _write_manifest(args, inputs: list, config=None, **results):
         return
     if config is None:
         config = {k: v for k, v in vars(args).items()
-                  if k not in ("command", "func", "seed", "marks", "outputs")}
+                  if k not in ("command", "func", "seed", "marks", "inputs", "outputs")}
     if len(args.marks) > 1:
         phases = results["phase_seconds"] = {}
         for (_, start), (name, end) in zip(args.marks, args.marks[1:]):
@@ -136,7 +139,7 @@ def _write_manifest(args, inputs: list, config=None, **results):
         "command": args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
-        "input_hashes": {str(p): _sha256(p) for p in inputs},
+        "input_hashes": {str(p): _sha256(p) for p in args.inputs},
         "tool_version": __version__,
         "duration_seconds": time.monotonic() - args.marks[0][1],
         "environment": _environment(),
@@ -156,7 +159,7 @@ def _write_manifest(args, inputs: list, config=None, **results):
 
 
 def cmd_generate(args) -> int:
-    parts = _outputs(args, {"--out": args.out})
+    parts = _outputs(args, {}, {"--out": args.out})
     rng = np.random.default_rng(args.seed)
     if args.dataset != "gauss-pairs":
         given = [flag for flag, value in (("--dim", args.dim), ("--shift", args.shift))
@@ -168,26 +171,25 @@ def cmd_generate(args) -> int:
         args.dim = 2
     # Bad --shift cells, and pair counts or shift lengths a generator rejects.
     try:
-        if args.dataset == "moon":
-            noise = 0.05 if args.noise_std is None else args.noise_std
-            ds = generate_moon(args.n, noise_std=noise, rng=rng)
-        elif args.dataset == "t":
-            noise = 2.0 if args.noise_std is None else args.noise_std
-            ds = generate_t(args.n, noise_std=noise, rng=rng)
-        else:
+        if args.dataset == "gauss-pairs":
             shift = None if args.shift is None else parse_row(args.shift, "--shift")
             ds = generate_gauss_pairs(args.n, d=args.dim, shift=shift, rng=rng)
+        else:
+            noise = {} if args.noise_std is None else {"noise_std": args.noise_std}
+            generate = generate_moon if args.dataset == "moon" else generate_t
+            ds = generate(args.n, rng=rng, **noise)
     except ValueError as exc:
         raise UsageError(f"generate --dataset {args.dataset}: {exc}") from None
     write_pairs(parts["--out"], ds)
-    _write_manifest(args, [])
+    _write_manifest(args)
     print(f"wrote {len(ds)} pairs (d = {ds.d}) to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
-    parts = _outputs(args, {name: out_dir / name for name in ("model.bkt", "loss_trace.csv")})
+    parts = _outputs(args, {"--data": args.data, "--config": args.config},
+                     {name: out_dir / name for name in ("model.bkt", "loss_trace.csv")})
     config = read_config(args.config)
     dataset = read_pairs(args.data)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,23 +205,37 @@ def cmd_train(args) -> int:
     save_train_result(parts["model.bkt"], result)
     write_loss_trace(parts["loss_trace.csv"], result.trace)
     _end_phase(args, "write")
-    _write_manifest(args, [args.data, args.config], config=config.to_dict(), seed=config.seed)
+    _write_manifest(args, config=config.to_dict(), seed=config.seed)
     print(f"trained {config.n_iters} iterations; model at {out_dir / 'model.bkt'}")
     return 0
 
 
-def _load_x0(path) -> np.ndarray:
-    """Starting points from either a point-cloud CSV or the x0 side of pairs."""
-    return read_pairs(path).x0 if is_pair_file(path) else read_cloud(path)
+def _side(spec: str) -> tuple[str, str | None]:
+    """(path, side) of 'file.csv:x0' or 'file.csv:x1' if file.csv exists, else (spec, None)."""
+    path, sep, side = spec.rpartition(":")
+    if sep and side in ("x0", "x1") and Path(path).exists():
+        return path, side
+    return spec, None
+
+
+def _read_points(path: str, side=None, *, bare=None, arg=None) -> np.ndarray:
+    """Side ``side`` of pair file ``path``, or with ``side`` None the cloud
+    ``path``; a pair file there gives its ``bare`` side, or is a data error."""
+    if side is None and is_pair_file(path):
+        if bare is None:
+            raise DataError(f"{arg}: {path} is a pair file; append ':x0' or ':x1' to select a side")
+        side = bare
+    return read_cloud(path) if side is None else getattr(read_pairs(path), side)
 
 
 def cmd_sample(args) -> int:
     out = Path(args.out)
     if args.endpoints_out is None:
         args.endpoints_out = str(out.parent / f"{out.stem}_endpoints.csv")
-    parts = _outputs(args, {"--out": args.out, "--endpoints-out": args.endpoints_out})
+    parts = _outputs(args, {"--model": args.model, "--data": args.data},
+                     {"--out": args.out, "--endpoints-out": args.endpoints_out})
     model = load_model(args.model)
-    x0 = _load_x0(args.data)
+    x0 = _read_points(args.data, bare="x0")
     if x0.shape[1] != model.drift.spec.input_dim:
         raise DataError(
             f"data dimension {x0.shape[1]} does not match model dimension "
@@ -241,29 +257,17 @@ def cmd_sample(args) -> int:
         _end_phase(args, "write")
     write_cloud(parts["--endpoints-out"], endpoints)
     _end_phase(args, "write")
-    _write_manifest(args, [args.model, args.data], simulation_workers=n_workers)
+    _write_manifest(args, simulation_workers=n_workers)
     print(f"simulated {n_traj} trajectories x {args.steps} steps -> {args.out}")
     return 0
 
 
-def _load_cloud_arg(spec: str, what: str) -> tuple[np.ndarray, str]:
-    """A cloud argument is 'file.csv', or 'file.csv:x0' / 'file.csv:x1' to
-    pick one side of a pair file. Returns the cloud and the path it read."""
-    path, sep, side = spec.rpartition(":")
-    if sep and side in ("x0", "x1") and Path(path).exists():
-        ds = read_pairs(path)
-        return (ds.x0 if side == "x0" else ds.x1), path
-    if is_pair_file(spec):
-        raise DataError(
-            f"{what}: {spec} is a pair file; append ':x0' or ':x1' to select a side"
-        )
-    return read_cloud(spec), spec
-
-
 def cmd_evaluate(args) -> int:
-    parts = _outputs(args, {"--out": args.out, "--csv-out": args.csv_out})
-    pred, pred_path = _load_cloud_arg(args.pred, "--pred")
-    ref, ref_path = _load_cloud_arg(args.ref, "--ref")
+    (pred_path, pred_side), (ref_path, ref_side) = _side(args.pred), _side(args.ref)
+    parts = _outputs(args, {"--pred": pred_path, "--ref": ref_path},
+                     {"--out": args.out, "--csv-out": args.csv_out})
+    pred = _read_points(pred_path, pred_side, arg="--pred")
+    ref = _read_points(ref_path, ref_side, arg="--ref")
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not names:
         raise DataError(f"--metrics names no metric; valid metrics: {', '.join(METRICS)}")
@@ -311,14 +315,14 @@ def cmd_evaluate(args) -> int:
         write_csv(parts["--csv-out"], names, np.array([values], dtype=float))
     _end_phase(args, "write")
     args.metrics = names
-    _write_manifest(args, [pred_path, ref_path], **diagnostics)
+    _write_manifest(args, **diagnostics)
     return 0
 
 
 def cmd_export_drift(args) -> int:
-    parts = _outputs(args, {"--out": args.out})
+    parts = _outputs(args, {"--model": args.model}, {"--out": args.out})
     export_drift(args.model, parts["--out"])
-    _write_manifest(args, [args.model])
+    _write_manifest(args)
     print(f"exported drift-only model to {args.out}")
     return 0
 
@@ -331,7 +335,7 @@ def _is_blank(path) -> bool:
 
 
 def cmd_plot(args) -> int:
-    parts = _outputs(args, {"--out": args.out})
+    parts = _outputs(args, {"--traj": args.traj, "--pairs": args.pairs}, {"--out": args.out})
     trajectories = None
     if args.traj and not _is_blank(args.traj):
         trajectories = read_trajectories(args.traj)
@@ -339,7 +343,7 @@ def cmd_plot(args) -> int:
     if args.pairs:
         pairs = read_pairs(args.pairs)
     write_svg(parts["--out"], trajectories, pairs)
-    _write_manifest(args, [p for p in (args.traj, args.pairs) if p])
+    _write_manifest(args)
     print(f"wrote {args.out}")
     return 0
 
@@ -378,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, choices=DATASETS)
     p.add_argument("--n", type=_number(int, 1), required=True, help="number of pairs")
     p.add_argument("--noise-std", type=_number(float, 0.0), default=None,
-                   help="noise level (defaults: moon 0.05, t 2.0)")
+                   help=f"noise level (defaults: moon {MOON_DEFAULT_NOISE}, t {T_DEFAULT_NOISE})")
     p.add_argument("--dim", type=_number(int, 1), default=None,
                    help="dimension for gauss-pairs (default 2)")
     p.add_argument("--shift", type=str, default=None,

@@ -450,8 +450,6 @@ def estimate_h_mc(
 
     later = grid.times[grid.times > t]
     times = np.concatenate(([t], later))
-    if times[-1] != 1.0:
-        times = np.concatenate((times, [1.0]))
     x0 = np.tile(x, (n_paths, 1))
     ends = _simulate_times(x0, drift_fn, schedule, times, seed, 0, record=False)
     sq = np.sum((ends - x1) ** 2, axis=1)

@@ -23,7 +23,7 @@ from .datasets import AlignedDataset
 from .errors import ConfigError, DataError, NumericsError
 from .nets import DoobNet, DriftNet, MlpSpec, make_doob_spec, make_drift_spec, time_embed
 from .optim import AdamW, EmaTracker
-from .sde import DiffusivitySchedule, bridge_drift_target, bridge_marginal_sample
+from .sde import SINGULARITY_GUARD, DiffusivitySchedule, bridge_drift_target, bridge_marginal_sample
 from .serialize import KIND_PAIR, LoadedModel, load_model, save_model
 
 LAMBDA_MODES = ("constant", "linear-in-t")
@@ -59,8 +59,8 @@ class TrainConfig:
             raise ConfigError(f"lambda_mode must be one of {LAMBDA_MODES}")
         if not 0.0 <= self.lambda_value < math.inf:
             raise ConfigError("lambda_value must be >= 0 and finite")
-        if not 0.0 < self.t_clip < 1.0:
-            raise ConfigError("t_clip must lie in (0, 1)")
+        if not 2 * SINGULARITY_GUARD <= self.t_clip < 1.0:  # 2x: 1 - t stays clear of the guard
+            raise ConfigError(f"t_clip must lie in [{2 * SINGULARITY_GUARD:g}, 1)")
         if self.times_per_pair < 1:
             raise ConfigError("times_per_pair must be >= 1")
         if not 0.0 <= self.ema_decay <= 1.0:

@@ -95,6 +95,16 @@ def test_bad_arguments_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "g.csv").exists()
 
 
+def test_non_integer_steps_are_a_usage_error_naming_the_value(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sample", "--model", "m.bkt", "--data", "s.csv", "--out", tmp_path / "t.csv",
+                "--steps", "abc")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --steps: expected int, got 'abc'" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_dimension_too_large_to_allocate_is_a_usage_error(tmp_path, capsys,
                                                                    monkeypatch):
     def out_of_memory(*args, **kwargs):
@@ -252,6 +262,23 @@ def test_train_unknown_config_key_names_it(tmp_path, moon_csv, capsys):
     cfg.write_text(tiny_config_text() + "warp_factor = 9\n")
     assert run_cli("train", "--data", moon_csv, "--config", cfg, "--out", tmp_path / "m") == 3
     assert "warp_factor" in capsys.readouterr().err
+
+
+def test_train_t_clip_reaching_the_singularity_guard_is_a_config_error(tmp_path, capsys):
+    # With t_clip = 1e-9 this config drew, within 20 iterations, a time whose
+    # bridge-drift target hit the singularity guard: an uncaught error after
+    # training had begun. The config is refused before any training instead.
+    pairs = tmp_path / "moon.csv"
+    assert run_cli("generate", "--dataset", "moon", "--n", 50, "--seed", 0, "--out", pairs) == 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(tiny_config_text(batch_size=4000, n_iters=40, seed=4)
+                   .replace("t_clip = 0.001", "t_clip = 1e-9"))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run_cli("train", "--data", pairs, "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {cfg}: t_clip must lie in [2e-06, 1)\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -1147,6 +1174,63 @@ def test_complete_runs_land_every_output_and_manifest_and_no_part(tmp_path, moon
                      *outputs, *(f"{name}.manifest.json" for name in outputs)}
 
 
+@pytest.mark.parametrize("argv, flags, path", [
+    (["sample", "--model", "m.bkt", "--data", "t_endpoints.csv", "--out", "t.csv"],
+     "--data and --endpoints-out", "t_endpoints.csv"),
+    (["sample", "--model", "m.bkt", "--data", "s.csv", "--out", "s.csv"], "--data and --out",
+     "s.csv"),
+    (["sample", "--model", "m.bkt", "--data", "s.csv", "--out", "t.csv", "--endpoints-out",
+      "m.bkt"], "--model and --endpoints-out", "m.bkt"),
+    (["evaluate", "--pred", "c.csv:x0", "--ref", "c.csv:x1", "--metrics", "ps_l2",
+      "--out", "c.csv"], "--ref and --out", "c.csv"),
+    (["evaluate", "--pred", "cl.csv", "--ref", "cl.csv", "--csv-out", "./cl.csv"],
+     "--ref and --csv-out", "./cl.csv"),
+    (["evaluate", "--pred", "cl.csv", "--ref", "s.csv", "--out", "r.txt", "--csv-out",
+      "r.txt.manifest.json"], "--csv-out and the manifest", "r.txt.manifest.json"),
+    (["plot", "--traj", "tr.csv", "--out", "tr.csv"], "--traj and --out", "tr.csv"),
+    (["plot", "--pairs", "c.csv", "--out", "tr.svg"], None, None),
+    (["plot", "--traj", "tr.svg.manifest.json", "--out", "tr.svg"],
+     "--traj and the manifest", "tr.svg.manifest.json"),
+    (["export-drift", "--model", "m.bkt", "--out", "m.bkt"], "--model and --out", "m.bkt"),
+    (["train", "--data", "c.csv", "--config", "run/loss_trace.csv", "--out", "run"],
+     "--config and loss_trace.csv", "run/loss_trace.csv"),
+], ids=["sample-default-endpoints", "sample-out", "sample-endpoints-out", "evaluate-pair-side",
+        "evaluate-csv-out", "evaluate-outputs", "plot-traj", "plot-pairs-no-clash",
+        "plot-manifest", "export-drift", "train-config"])
+def test_output_naming_an_input_is_a_usage_error_before_any_read(tmp_path, capsys,
+                                                                 monkeypatch, argv, flags,
+                                                                 path):
+    from bridgekit import TrajectoryBatch, write_cloud, write_trajectories
+
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(1)
+    write_pairs("c.csv", AlignedDataset(rng.normal(size=(5, 2)), rng.normal(size=(5, 2))))
+    for name in ("t_endpoints.csv", "s.csv", "cl.csv"):
+        write_cloud(name, rng.normal(size=(5, 2)))
+    write_trajectories("tr.csv", TrajectoryBatch(times=np.linspace(0, 1, 3),
+                                                 states=rng.normal(size=(2, 3, 2))))
+    Path("tr.svg.manifest.json").write_text("{}\n")
+    shutil.copy(V1_PAIR, "m.bkt")
+    Path("run").mkdir()
+    Path("run/loss_trace.csv").write_text(tiny_config_text())
+    if flags is None:  # a command that does not clash still runs
+        assert run_cli(*argv) == 0
+        return
+
+    def no_read(*args, **kwargs):
+        raise AssertionError(f"an input was read: {args}")
+
+    for reader in ("read_config", "read_pairs", "read_cloud", "read_trajectories", "_is_blank",
+                   "is_pair_file", "load_model", "export_drift"):
+        monkeypatch.setattr(f"bridgekit.cli.{reader}", no_read)
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (f"usage error: {argv[0]}: {flags} name the same file "
+                                       f"{path}\n")
+    assert _files(tmp_path) == before
+
+
 # ---------------------------------------------------------------------------
 # generated command lines: the exit-code contract, and no file left on failure
 # ---------------------------------------------------------------------------
@@ -1214,8 +1298,8 @@ def _output(draw, name, *others):
 @st.composite
 def _command_line(draw):
     """Argv for one of the six commands, every value one that argparse takes,
-    inputs usually good; ``@name`` stands for the file ``name`` of
-    ``guard_inputs``."""
+    inputs usually good, outputs sometimes naming one of the inputs;
+    ``@name`` stands for the file ``name`` of ``guard_inputs``."""
     command = draw(st.sampled_from(["generate", "train", "sample", "evaluate", "export-drift",
                                     "plot"]))
 
@@ -1224,6 +1308,13 @@ def _command_line(draw):
 
     def usually(good, *bad):
         return _usually(draw, good, *bad)
+
+    def output(name, *others):
+        """``_output``, or in one draw of five an input file named so far."""
+        inputs = [str(a).split(":")[0] for a in argv if str(a).startswith("@")]
+        if inputs and not draw(st.integers(0, 4)):
+            return pick(*inputs)
+        return _output(draw, name, *others)
 
     argv = [command]
     if command == "generate":
@@ -1235,20 +1326,20 @@ def _command_line(draw):
             argv += ["--dim", draw(st.integers(1, 3))]
         if draw(st.booleans()):
             argv += ["--shift", usually("1,2", "0.5", "1,2,3", "a,b", "inf,1", "")]
-        argv += ["--out", _output(draw, "g.csv")]
+        argv += ["--out", output("g.csv")]
     elif command == "train":
         argv += ["--data", usually("@pairs.csv", "@cloud.csv", "@bad.csv", "@missing.csv"),
-                 "--config", f"@cfg{usually(0, *range(1, len(_CONFIGS)))}.txt",
-                 "--out", _output(draw, "m")]
+                 "--config", f"@cfg{usually(0, *range(1, len(_CONFIGS)))}.txt"]
+        argv += ["--out", output("m")]
     elif command == "sample":
-        out = _output(draw, "t.csv")
         argv += ["--model", usually("@model.bkt", "@drift.bkt", "@pairs.csv", "@missing.bkt"),
                  "--data", usually(pick("@pairs.csv", "@cloud.csv"), "@cloud3.csv", "@bad.csv",
                                    "@blank.csv"),
-                 "--steps", draw(st.integers(1, 3)), "--n-poses", draw(st.integers(1, 2)),
-                 "--out", out]
+                 "--steps", draw(st.integers(1, 3)), "--n-poses", draw(st.integers(1, 2))]
+        out = output("t.csv")
+        argv += ["--out", out]
         if draw(st.booleans()):
-            argv += ["--endpoints-out", _output(draw, "e.csv", out, f"{out}.manifest.json")]
+            argv += ["--endpoints-out", output("e.csv", out, f"{out}.manifest.json")]
     elif command == "evaluate":
         bad = ["@pairs.csv", "@cloud3.csv", "@one.csv", "@bad.csv", "@missing.csv"]
         argv += ["--pred", usually("@pairs.csv:x0", *bad),
@@ -1256,21 +1347,21 @@ def _command_line(draw):
                  "--metrics", usually(pick("mmd,ps_l2", "sinkhorn", "mmd,sinkhorn,rmsd,ps_l2"),
                                       "rmsd", "bogus", "rmsd,rmsd", ","),
                  "--eps", pick("0.1", "1")]
-        out = _output(draw, "r.txt") if draw(st.booleans()) else None
+        out = output("r.txt") if draw(st.booleans()) else None
         if out is not None:
             argv += ["--out", out]
         if draw(st.booleans()):
             clashes = [] if out is None else [out, f"{out}.manifest.json"]
-            argv += ["--csv-out", _output(draw, "r.csv", *clashes)]
+            argv += ["--csv-out", output("r.csv", *clashes)]
     elif command == "export-drift":
-        argv += ["--model", usually("@model.bkt", "@drift.bkt", "@pairs.csv", "@missing.bkt"),
-                 "--out", _output(draw, "d.bkt")]
+        argv += ["--model", usually("@model.bkt", "@drift.bkt", "@pairs.csv", "@missing.bkt")]
+        argv += ["--out", output("d.bkt")]
     else:
         if draw(st.booleans()):
             argv += ["--traj", usually(pick("@traj.csv", "@blank.csv"), "@bad.csv", "@cloud.csv")]
         if draw(st.booleans()):
             argv += ["--pairs", usually("@pairs.csv", "@pairs3.csv", "@cloud.csv")]
-        argv += ["--out", _output(draw, "p.svg")]
+        argv += ["--out", output("p.svg")]
     return argv
 
 
@@ -1300,6 +1391,7 @@ def test_generated_command_lines_keep_the_exit_code_contract(guard_inputs, argv)
         err = err.getvalue()
         assert code in (0, 2, 3, 4), (argv, err)
         assert "Traceback" not in err, (argv, err)
+        assert _files(guard_inputs) == before[1], (argv, err)  # inputs kept, whatever the code
         if code == 0:
             assert not list(tmp.rglob("*.part")), argv
         else:

@@ -63,6 +63,14 @@ def test_line_numbers_are_physical(tmp_path, reader, text, message):
         reader(_write(tmp_path, text))
 
 
+def test_trajectories_missing_a_row_are_counted(tmp_path):
+    # Trajectory 1 has no step 1: 2 trajectories x 2 steps need 4 rows, not 3.
+    path = _write(tmp_path, "traj_id,step,t,x_0\n0,0,0,1\n0,1,1,2\n1,0,0,3\n")
+    with pytest.raises(DataError, match=r"bad\.csv: 1 missing trajectory rows "
+                                        r"\(2 trajectories x 2 steps expected\)"):
+        read_trajectories(path)
+
+
 @pytest.mark.parametrize("cell, problem", [("zap", "non-numeric"), ("inf", "non-finite")])
 def test_bad_cell_past_the_first_rescan_block_is_found(tmp_path, cell, problem):
     # 17,000 good rows fill more than one re-scan block; two empty lines follow.

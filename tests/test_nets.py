@@ -104,6 +104,19 @@ def test_doob_rejects_drift_value_when_disabled():
     assert net(0.4, x).shape == x.shape
 
 
+@pytest.mark.parametrize("t, x, extra, message", [
+    (0.4, np.zeros(3), np.zeros(3), "x must be a 2-D batch of states"),
+    (0.4, np.zeros((4, 2)), np.zeros((4, 2)), "state dimension 2 does not match spec input_dim 3"),
+    (np.zeros(3), np.zeros((4, 3)), np.zeros((4, 3)), "t must be a scalar or one value per row"),
+    (0.4, np.zeros((4, 3)), None, "this network expects a drift value input"),
+    (0.4, np.zeros((4, 3)), np.zeros((4, 2)), "drift value input must match the state shape"),
+], ids=["x-not-2d", "x-dimension", "t-length", "drift-value-missing", "drift-value-shape"])
+def test_network_inputs_of_the_wrong_shape_are_refused(t, x, extra, message):
+    net = randomize(DoobNet(small_spec(uses_drift_input=True)), 10)
+    with pytest.raises(ValueError, match=message):
+        net.forward(t, x, extra=extra)
+
+
 def test_doob_uses_drift_value_when_enabled():
     net = randomize(DoobNet(small_spec(uses_drift_input=True)), 10)
     x = np.random.default_rng(11).normal(size=(4, 3))

@@ -290,6 +290,14 @@ def test_non_finite_drift_reports_step_and_state():
         simulate_sde(np.zeros((2, 1)), bad, CONST, TimeGrid(10), seed=0)
 
 
+def test_drift_of_the_wrong_shape_is_refused():
+    def flat(t, x):
+        return np.zeros(len(x))
+
+    with pytest.raises(ValueError, match=r"drift_fn returned shape \(3,\), expected \(3, 2\)"):
+        simulate_sde(np.zeros((3, 2)), flat, CONST, TimeGrid(4), seed=0)
+
+
 def test_conditioned_with_exact_residual_matches_bridge_marginal():
     # Feed the correction term m = pinned drift - b: the conditioned dynamics
     # then are exactly the pinned process, so its time-0.5 marginal must match

@@ -14,7 +14,7 @@ from bridgekit import (
     train,
 )
 from bridgekit.errors import ConfigError, NumericsError
-from bridgekit.sde import bridge_drift_target
+from bridgekit.sde import SINGULARITY_GUARD, bridge_drift_target
 from bridgekit.training import (
     TrainingBatch,
     format_config,
@@ -351,6 +351,31 @@ def test_config_validation_bounds():
         TrainConfig(lambda_mode="quadratic")
     with pytest.raises(ConfigError):
         TrainConfig(g=-1.0)
+
+
+def test_config_skips_comment_only_and_blank_lines():
+    text = "# a comment line\n\n   \n" + full_config_text().replace("\n", "\n  # note\n\n")
+    assert parse_config(text) == TrainConfig()
+
+
+def test_config_duplicate_key_names_its_line():
+    text = full_config_text() + "\n# again:\nseed = 4\n"
+    line = len(text.splitlines())
+    with pytest.raises(ConfigError, match=rf"^cfg\.txt:{line}: duplicate config key 'seed'$"):
+        parse_config(text, "cfg.txt")
+
+
+def test_t_clip_must_keep_drawn_times_clear_of_the_singularity_guard():
+    # The largest drawn time is 1 - t_clip; beta(1) - beta(t) must stay above
+    # SINGULARITY_GUARD * beta(1) after rounding, so t_clip >= 2 * guard.
+    assert TrainConfig(t_clip=2 * SINGULARITY_GUARD).t_clip == 2e-6
+    for t_clip in (1e-9, 1.9e-6, np.nextafter(2e-6, 0.0)):
+        with pytest.raises(ConfigError, match=r"^t_clip must lie in \[2e-06, 1\)$"):
+            TrainConfig(t_clip=t_clip)
+    config = TrainConfig(batch_size=1, t_clip=2 * SINGULARITY_GUARD)
+    t = 1.0 - config.t_clip  # the time drawn for u = 0
+    x = np.zeros((1, 2))
+    assert np.isfinite(bridge_drift_target(x, x + 1.0, np.array([t]), config.schedule)).all()
 
 
 @pytest.mark.parametrize("key, value", [
