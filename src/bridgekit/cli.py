@@ -100,7 +100,7 @@ def _end_phase(args, name: str) -> None:
 def _outputs(args, inputs: dict, outputs: dict) -> dict:
     """Part files of the ``outputs`` not None and of their manifest, kept in
     ``args.outputs`` (nonempty ``inputs`` in ``args.inputs``). An output at the
-    real path of an input or another output exits 2; at a directory, 3."""
+    real path of an input or another output exits 2; at a directory or in a file, 3."""
     args.inputs = [path for path in inputs.values() if path]
     outputs = {flag: path for flag, path in outputs.items() if path is not None}
     if outputs:
@@ -113,6 +113,8 @@ def _outputs(args, inputs: dict, outputs: dict) -> dict:
             raise UsageError(f"{args.command}: {seen[where]} and {flag} name the same file {path}")
         if os.path.isdir(where):
             raise DataError(f"{args.command}: {flag} names a directory: {path}")
+        if os.path.lexists(os.path.dirname(where)) and not os.path.isdir(os.path.dirname(where)):
+            raise DataError(f"{args.command}: {flag} is not in a directory: {path}")
         seen[where] = flag
         path = Path(path)
         parts[flag] = path.parent / f".{path.name}.{os.getpid()}.part"
@@ -192,7 +194,6 @@ def cmd_train(args) -> int:
                      {name: out_dir / name for name in ("model.bkt", "loss_trace.csv")})
     config = read_config(args.config)
     dataset = read_pairs(args.data)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _end_phase(args, "read")
 
     def progress(it, breakdown):
@@ -202,6 +203,7 @@ def cmd_train(args) -> int:
 
     result = train(dataset, config, progress=progress)
     _end_phase(args, "train")
+    out_dir.mkdir(parents=True, exist_ok=True)  # only now, so a failed run leaves none
     save_train_result(parts["model.bkt"], result)
     write_loss_trace(parts["loss_trace.csv"], result.trace)
     _end_phase(args, "write")
@@ -266,8 +268,12 @@ def cmd_evaluate(args) -> int:
     (pred_path, pred_side), (ref_path, ref_side) = _side(args.pred), _side(args.ref)
     parts = _outputs(args, {"--pred": pred_path, "--ref": ref_path},
                      {"--out": args.out, "--csv-out": args.csv_out})
-    pred = _read_points(pred_path, pred_side, arg="--pred")
-    ref = _read_points(ref_path, ref_side, arg="--ref")
+    if pred_side and ref_side and os.path.realpath(pred_path) == os.path.realpath(ref_path):
+        pairs = read_pairs(pred_path)  # both sides of one pair file, read once
+        pred, ref = getattr(pairs, pred_side), getattr(pairs, ref_side)
+    else:
+        pred = _read_points(pred_path, pred_side, arg="--pred")
+        ref = _read_points(ref_path, ref_side, arg="--ref")
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not names:
         raise DataError(f"--metrics names no metric; valid metrics: {', '.join(METRICS)}")

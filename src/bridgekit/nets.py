@@ -22,17 +22,20 @@ each handle one vector per network and only this module knows the layers;
 Calling a network is always eval mode; a training pass is
 ``forward(t, x, train=True, rng=...)``. Each block runs one layer pass with
 an optional cache. Without one (calling a network) every hidden layer writes
-into buffers the network owns and reuses across calls, and checks its output
-for finite values; at a scalar ``t`` the time branch runs on one row and is
-folded into the first head layer's bias, and the returned array is always
-fresh. With a cache (training, or ``forward`` in eval mode) each layer
-applies its activation in place and keeps its input, the activation's
-derivative (computed alongside the activation) and its dropout mask, so
-``backward`` evaluates no activation again; all of one forward's dropout
-masks come from one draw, and nothing is checked until the caller sees a
-non-finite result and asks ``check_finite`` which layer made it. The
-buffers are per thread, so one network may be called from several threads
-at once.
+into buffers the network owns and reuses across calls; at a scalar ``t`` the
+time branch runs on one row and is folded into the first head layer's bias,
+and the returned array is always fresh. With a cache (training, or
+``forward`` in eval mode) every layer's output is a fresh array, and the
+layer keeps its input, the activation's derivative (computed alongside the
+activation) and its dropout mask, so ``backward`` evaluates no activation
+again; all of one forward's dropout masks come from one draw. The buffers
+are per thread, so one network may be called from several threads at once.
+
+No layer is checked as it runs; only ``check_finite`` names the first
+non-finite layer, in the order x_enc, t_enc, head. Training asks it when its
+loss is not finite, a call when its output is not (see ``forward``), so a
+call never returns a non-finite array. A non-finite layer output that later
+layers map back to finite values (as SELU and ReLU map -inf) is not an error.
 """
 
 from __future__ import annotations
@@ -212,66 +215,49 @@ class _Block:
     """A stack of linear layers; all but (optionally) the last carry
     activation + dropout."""
 
-    def __init__(self, sizes, activation, bare_last, rng, zero_last=False):
+    def __init__(self, sizes, activation, bare_last, rng):
         self._act = ACTIVATIONS[activation]
         self.bare_last = bare_last
         self.weights = []
         self.biases = []
-        n_layers = len(sizes) - 1
-        for li in range(n_layers):
-            fan_in, fan_out = sizes[li], sizes[li + 1]
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
             bound = np.sqrt(1.0 / fan_in)
-            w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-            if zero_last and li == n_layers - 1:
-                w = np.zeros((fan_out, fan_in))
-            self.weights.append(w)
+            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             self.biases.append(np.zeros(fan_out))
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def forward(self, h, bufs, where, first=None, cache=None, masks=None):
-        """The block's output for input rows ``h``; one pass for both modes.
-
-        Without ``cache`` (eval mode) layer i writes into ``bufs[i % 2]`` and
-        applies its activation in place with the other buffer as scratch, so
-        ``bufs[0]`` must not hold ``h`` (``bufs[1]`` may: h is dead once
-        layer 0's product is formed); every layer's output is checked for
-        finite values and a failure names ``where`` and the layer. The
-        output of a non-bare last layer is a view of one buffer; a bare last
-        layer returns a fresh array. ``first`` = (W, b) replaces the weight
-        and bias of layer 0; ``b`` may hold one row per row of h.
-
-        With a ``cache`` list, every layer's output is a fresh array, its
-        activation runs in place (``bufs[0]`` is the scratch) and the layer
-        appends (input, activation derivative, dropout mask) to the cache;
-        ``masks`` holds one mask per activated layer, or None for no dropout.
-        Nothing is checked: see ``_TimeConditionedNet.check_finite``.
+    def forward(self, h, bufs, first=None, cache=None, masks=None):
+        """The block's output for input rows ``h``; one layer pass for both
+        modes. Layer i applies its activation in place with
+        ``bufs[(i + 1) % 2]`` as scratch. Without ``cache`` (eval mode) its
+        product goes into ``bufs[i % 2]``, so ``bufs[0]`` must not hold ``h``
+        (``bufs[1]`` may: h is dead once layer 0's product is formed), and a
+        non-bare last layer returns a view of one buffer. With a ``cache``
+        list, every layer's output is a fresh array and the layer appends
+        (input, activation derivative, dropout mask) to the cache; ``masks``
+        holds one mask per activated layer, or None for no dropout. A bare
+        last layer returns a fresh array. ``first`` = (W, b) replaces layer
+        0's weight and bias; ``b`` may hold one row per row of h. Nothing is
+        checked: see ``_TimeConditionedNet.check_finite``.
         """
         last = self.n_layers - 1 if self.bare_last else None
         for li, (w, b) in enumerate(zip(self.weights, self.biases)):
             if li == 0 and first is not None:
                 w, b = first
             bare = li == last
+            a = h @ w.T if bare or cache is not None else np.matmul(h, w.T, out=bufs[li % 2])
+            a += b
+            deriv = None if bare or cache is None else np.empty_like(a)
+            mask = None if bare or masks is None else masks[li]
+            if not bare:
+                self._act(a, bufs[(li + 1) % 2], deriv)
+            if mask is not None:
+                a *= mask
             if cache is not None:
-                a = h @ w.T
-                a += b
-                deriv = mask = None
-                if not bare:
-                    deriv = np.empty_like(a)
-                    self._act(a, bufs[0], deriv)
-                    mask = None if masks is None else masks[li]
-                    if mask is not None:
-                        a *= mask
                 cache.append((h, deriv, mask))
-            else:
-                a = h @ w.T if bare else np.matmul(h, w.T, out=bufs[li % 2])
-                a += b
-                if not bare:
-                    self._act(a, bufs[(li + 1) % 2])
-                if not np.all(np.isfinite(a)):
-                    raise NumericsError(f"non-finite activation in {where} layer {li}")
             h = a
         return h
 
@@ -315,13 +301,14 @@ class _TimeConditionedNet:
         )
         self.head = _Block(
             [2 * h] + [h] * (HEAD_LAYERS - 1) + [spec.output_dim],
-            spec.activation, bare_last=True, rng=rng, zero_last=True,
+            spec.activation, bare_last=True, rng=rng,
         )
         self._local = threading.local()  # per-thread layer buffers, see _buffers
         # Move the drawn values into one vector and make every layer a view of it.
         self.theta = np.concatenate([a.ravel() for blk in self._blocks()
                                      for wb in zip(blk.weights, blk.biases) for a in wb])
         self._bind_layers()
+        self.head.weights[-1][...] = 0.0  # a zero last layer: the initial net returns 0
 
     def _bind_layers(self):
         """Makes every layer's weights and bias views of ``theta``."""
@@ -395,16 +382,24 @@ class _TimeConditionedNet:
         """Returns (output, cache).
 
         With ``keep_cache=False`` an eval-mode pass takes the cache-free
-        inference path, which checks every layer, and the cache is None. A
-        pass that keeps a cache checks nothing; a caller that finds its
-        output non-finite calls ``check_finite`` to name the layer. ``emb``
-        may pass ``time_embed(t, spec.time_embed_dim)`` rows already made.
+        inference path and the cache is None. A non-finite output reruns the
+        inputs through a cached pass for ``check_finite`` to name the layer;
+        if that pass rounds to finite values, the output is still an error.
+        A pass that keeps a cache checks nothing: a caller that finds its
+        output non-finite calls ``check_finite``. ``emb`` may pass
+        ``time_embed(t, spec.time_embed_dim)`` rows already made.
         """
         if train and self.spec.dropout_rate > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
         t, net_in = self._prepare(t, x, extra)
         if not (train or keep_cache):
-            return self._infer(t, net_in), None
+            out = self._infer(t, net_in)
+            if np.isfinite(out).all():
+                return out, None
+            with np.errstate(all="ignore"):
+                out, cache = self.forward(t, x, extra)
+            self.check_finite(cache, out)
+            raise NumericsError("non-finite network output")
         n, rate = net_in.shape[0], self.spec.dropout_rate
         if emb is None:
             emb = time_embed(np.broadcast_to(t, (n,)), self.spec.time_embed_dim)
@@ -418,18 +413,18 @@ class _TimeConditionedNet:
             masks *= 1.0 / (1.0 - rate)  # keep / (1 - rate), bit for bit
             head_from = X_ENC_LAYERS + T_ENC_LAYERS
             mx, mt, mh = masks[:X_ENC_LAYERS], masks[X_ENC_LAYERS:head_from], masks[head_from:]
-        scratch = self._buffers(n)[:1]
+        scratch = self._buffers(n)
         cx, ct, ch = [], [], []
-        hx = self.x_enc.forward(net_in, scratch, "x_enc", cache=cx, masks=mx)
-        ht = self.t_enc.forward(emb, scratch, "t_enc", cache=ct, masks=mt)
+        hx = self.x_enc.forward(net_in, scratch, cache=cx, masks=mx)
+        ht = self.t_enc.forward(emb, scratch, cache=ct, masks=mt)
         joint = np.concatenate([hx, ht], axis=1)
-        out = self.head.forward(joint, scratch, "head", cache=ch, masks=mh)
+        out = self.head.forward(joint, scratch, cache=ch, masks=mh)
         return out, (cx, ct, ch)
 
     def check_finite(self, cache, out) -> None:
-        """Raises NumericsError naming the first layer, in forward order,
-        whose output in the pass that made ``cache`` and ``out`` is not
-        finite. Each layer's output is the next layer's cached input."""
+        """Raises NumericsError naming the first layer, in the order x_enc,
+        t_enc, head, whose output in the pass that made ``cache`` and ``out`` is
+        not finite. Each layer's output is the next layer's cached input."""
         cx, ct, ch = cache
         h = self.spec.hidden_dim
         joint = ch[0][0]
@@ -458,14 +453,13 @@ class _TimeConditionedNet:
         n, h = net_in.shape[0], self.spec.hidden_dim
         t = np.atleast_1d(t)
         a, b = self._buffers(max(n, len(t)))
-        ht = self.t_enc.forward(time_embed(t, self.spec.time_embed_dim),
-                                (a[: len(t)], b[: len(t)]), "t_enc")
+        ht = self.t_enc.forward(time_embed(t, self.spec.time_embed_dim), (a[: len(t)], b[: len(t)]))
         w0 = self.head.weights[0]
         t_bias = ht @ w0[:, h:].T
         t_bias += self.head.biases[0]
         a, b = a[:n], b[:n]
-        hx = self.x_enc.forward(net_in, (a, b), "x_enc")  # an odd layer count leaves hx in a
-        return self.head.forward(hx, (b, a), "head", first=(w0[:, :h], t_bias))
+        hx = self.x_enc.forward(net_in, (a, b))  # an odd layer count leaves hx in a
+        return self.head.forward(hx, (b, a), first=(w0[:, :h], t_bias))
 
     def backward(self, cache, grad_out) -> np.ndarray:
         """Parameter gradient, one fresh vector laid out like ``theta``, from

@@ -328,25 +328,25 @@ def _simulate_times(
         out = states[lo:hi, 1:] if record else np.empty((hi - lo, n_steps, d))
         noise = _trajectory_noise(seed, ids, out)
         x = x0[lo:hi].copy()
-        for k in range(n_steps):
-            t_k = float(times[k])
-            drift = np.asarray(drift_fn(t_k, x), dtype=float)
-            if drift.shape != x.shape:
-                raise ValueError(
-                    f"drift_fn returned shape {drift.shape}, expected {x.shape}"
-                )
-            g_k, dt = g_vals[k], dts[k]
-            with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread; caught below
+            for k in range(n_steps):
+                t_k = float(times[k])
+                drift = np.asarray(drift_fn(t_k, x), dtype=float)
+                if drift.shape != x.shape:
+                    raise ValueError(
+                        f"drift_fn returned shape {drift.shape}, expected {x.shape}"
+                    )
+                g_k, dt = g_vals[k], dts[k]
                 x_new = x + (g_k * g_k) * drift * dt + g_k * math.sqrt(dt) * noise[:, k, :]
-            if not np.all(np.isfinite(x_new)):
-                what = "state" if np.all(np.isfinite(drift)) else "drift"
-                raise NumericsError(
-                    f"non-finite {what} at step {k} (t = {t_k:g}); "
-                    f"max |state| = {np.max(np.abs(x)):g}"
-                )
-            x = x_new
-            if record:
-                states[lo:hi, k + 1] = x
+                if not np.all(np.isfinite(x_new)):
+                    what = "state" if np.all(np.isfinite(drift)) else "drift"
+                    raise NumericsError(
+                        f"non-finite {what} at step {k} (t = {t_k:g}); "
+                        f"max |state| = {np.max(np.abs(x)):g}"
+                    )
+                x = x_new
+                if record:
+                    states[lo:hi, k + 1] = x
         endpoints[lo:hi] = x
 
     n_chunks = -(-n_traj // _SIM_CHUNK)

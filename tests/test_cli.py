@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from bridgekit import AlignedDataset, TrainConfig, read_cloud, read_pairs, write_pairs
+from bridgekit import (AlignedDataset, TrainConfig, load_model, read_cloud, read_pairs,
+                       save_model, write_pairs)
 from bridgekit.cli import METRICS, main
 from bridgekit.training import format_config
 
@@ -293,6 +294,17 @@ def test_train_non_finite_activation_exits_4_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["numerical failure: non-finite activation in x_enc layer 0"]
     assert not (out / "model.bkt").exists()
+
+
+def test_train_that_fails_leaves_no_out_directory(tmp_path):
+    data = tmp_path / "huge.csv"
+    x0 = np.full((20, 2), 1.7e308)
+    write_pairs(data, AlignedDataset(x0=x0, x1=x0.copy()))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(tiny_config_text())
+    out = tmp_path / "m"
+    assert run_cli("train", "--data", data, "--config", cfg, "--out", out) == 4
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +617,25 @@ def test_evaluate_reads_a_cloud_file_whose_name_ends_in_a_side_selector(tmp_path
     assert hashes == {str(cloud): sha(cloud), str(ref): sha(ref)}
 
 
+def test_evaluate_reads_both_sides_of_one_pair_file_once(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(3)
+    pairs, copy = tmp_path / "c.csv", tmp_path / "d.csv"
+    write_pairs(pairs, AlignedDataset(rng.normal(size=(30, 2)), rng.normal(size=(30, 2))))
+    shutil.copy(pairs, copy)
+    assert run_cli("evaluate", "--pred", f"{pairs}:x0", "--ref", f"{copy}:x1") == 0
+    expected = capsys.readouterr().out
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return read_pairs(path)
+
+    monkeypatch.setattr("bridgekit.cli.read_pairs", counted)
+    assert run_cli("evaluate", "--pred", f"{pairs}:x0", "--ref", f"{pairs}:x1") == 0
+    assert capsys.readouterr().out == expected
+    assert calls == [str(pairs)]
+
+
 def test_evaluate_rmsd_shape_mismatch_is_explained(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -667,6 +698,24 @@ def test_out_naming_a_directory_is_a_data_error(tmp_path, capsys, request, comma
     assert err.startswith("data error:") and str(out) in err
 
 
+def test_train_out_naming_an_existing_file_exits_3_before_reading(tmp_path, moon_csv, capsys,
+                                                                   monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError(f"an input was read: {args}")
+
+    for reader in ("read_config", "read_pairs"):
+        monkeypatch.setattr(f"bridgekit.cli.{reader}", no_read)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(tiny_config_text())
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    capsys.readouterr()
+    assert run_cli("train", "--data", moon_csv, "--config", cfg, "--out", out) == 3
+    assert capsys.readouterr().err == (f"data error: train: model.bkt is not in a directory: "
+                                       f"{out / 'model.bkt'}\n")
+    assert out.read_text() == "not a directory\n"
+
+
 def test_train_out_naming_an_existing_file_is_a_data_error(tmp_path, moon_csv, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(tiny_config_text())
@@ -677,6 +726,51 @@ def test_train_out_naming_an_existing_file_is_a_data_error(tmp_path, moon_csv, c
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert out.read_text() == "not a directory\n"
+
+
+def _edited_model(trained, path, edit):
+    """A copy at ``path`` of the model ``trained`` whose drift's x_enc layer
+    weights ``edit`` has changed in place."""
+    model = load_model(trained)
+    edit(model.drift.x_enc.weights)
+    save_model(path, model.drift, model.doob, model.schedule, config=model.config)
+    return path
+
+
+def test_sample_with_a_nan_drift_weight_names_the_layer(tmp_path, trained, capsys):
+    def nan_weight(weights):
+        weights[0][0, 0] = np.nan
+
+    work = tmp_path / "work"
+    work.mkdir()
+    model = _edited_model(trained, work / "nan.bkt", nan_weight)
+    data = work / "starts.csv"
+    data.write_text("x_0,x_1\n0,0\n1,-1\n")
+    before = _files(work)
+    capsys.readouterr()
+    assert run_cli("sample", "--model", model, "--data", data, "--steps", 5,
+                   "--out", work / "t.csv") == 4
+    assert capsys.readouterr().err == ("numerical failure: non-finite activation in x_enc "
+                                       "layer 0\n")
+    assert _files(work) == before  # no --out, endpoint cloud or part file
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_prints_no_numpy_warnings(tmp_path, trained, capsys):
+    # x_enc layer 0 overflows; layer 1's negative weights take that to -inf,
+    # which SELU maps to finite values, so the drift stays finite.
+    def overflow(weights):
+        weights[0][...] = 1e308
+        weights[1][...] = -np.abs(weights[1])
+
+    model = _edited_model(trained, tmp_path / "big.bkt", overflow)
+    data = tmp_path / "starts.csv"
+    data.write_text("x_0,x_1\n1,1\n2,0.5\n")
+    capsys.readouterr()
+    assert run_cli("sample", "--model", model, "--data", data, "--steps", 5,
+                   "--out", tmp_path / "t.csv") == 0
+    assert capsys.readouterr().err == ""
+    assert np.all(np.isfinite(read_cloud(tmp_path / "t_endpoints.csv")))
 
 
 def test_sample_too_many_steps_to_allocate_is_a_usage_error(tmp_path, trained, capsys,
@@ -1369,7 +1463,10 @@ def _files(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+# Seeded by a number rather than derandomize=True, which seeds from a digest of
+# this test's source: an edit to the body keeps the 200 drawn command lines.
+@seed(7)
+@settings(max_examples=200, deadline=None, database=None)
 @given(argv=_command_line())
 def test_generated_command_lines_keep_the_exit_code_contract(guard_inputs, argv):
     argv = [str(guard_inputs / a[1:]) if str(a).startswith("@") else str(a) for a in argv]

@@ -433,6 +433,48 @@ def test_inference_nan_names_the_layer(where):
         net(0.5, x)
 
 
+def test_call_and_check_finite_name_the_same_layer():
+    # NaN in layer 0 of both encoders: a call and check_finite both name the
+    # first non-finite layer in the order x_enc, t_enc, head.
+    net = randomize(DriftNet(small_spec()), 76)
+    net.x_enc.weights[0][0, 0] = np.nan
+    net.t_enc.weights[0][0, 0] = np.nan
+    x = np.random.default_rng(77).normal(size=(4, 3))
+    with pytest.raises(NumericsError, match="^non-finite activation in x_enc layer 0$"):
+        net(0.5, x)
+    out, cache = net.forward(0.5, x)
+    with pytest.raises(NumericsError, match="^non-finite activation in x_enc layer 0$"):
+        net.check_finite(cache, out)
+
+
+def test_call_never_returns_a_non_finite_output(monkeypatch):
+    # When the cached pass rounds to finite values where the inference path
+    # did not, no layer is named, and the call is still an error.
+    net = randomize(DriftNet(small_spec()), 93)
+    x = np.random.default_rng(94).normal(size=(4, 3))
+    monkeypatch.setattr(net, "_infer", lambda t, net_in: np.full((len(net_in), 3), np.inf))
+    with pytest.raises(NumericsError, match="^non-finite network output$"):
+        net(0.5, x)
+
+
+@pytest.mark.parametrize("activation", ["selu", "relu"])
+def test_call_with_a_non_finite_layer_that_later_layers_map_back_is_no_error(activation):
+    # x_enc layer 0 overflows to +inf; layer 1's negative weights take that
+    # to -inf, which the activation maps to finite values. A call returns the
+    # cached pass's output, as a training pass would carry on.
+    net = randomize(DriftNet(small_spec(activation=activation)), 95)
+    net.x_enc.weights[0][...] = 1e308
+    net.x_enc.weights[1][...] = -np.abs(net.x_enc.weights[1])
+    x = np.full((4, 3), 10.0)
+    with np.errstate(over="ignore"):
+        got = net(0.5, x)
+        out, cache = net.forward(0.5, x)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, out, rtol=0, atol=1e-12)
+    with pytest.raises(NumericsError, match="x_enc layer 0"):
+        net.check_finite(cache, out)  # training would ask only for a non-finite loss
+
+
 def test_inference_allocates_no_layer_buffers():
     # Deterministic guard on the mechanism, not on time: after one warm-up
     # call a 4096-row eval call reuses the net's layer buffers, so its traced
