@@ -7,9 +7,10 @@ recording the command, its full configuration, input file hashes, the tool
 version, the wall-clock duration (for train, sample and evaluate also that
 of each phase), and the environment (Python, numpy and BLAS versions, the
 BLAS thread cap, peak RSS). Commands never mutate their inputs: ``_outputs``
-refuses an output that names an input, before any file is read. Outputs and
-the manifest are written to part files beside them, which ``_write_manifest``
-moves into place, the manifest last, and ``main`` removes after a failed run.
+refuses an output that names an input, before any file is read. Outputs go to
+part files beside them; when the command returns, ``main`` has ``_write_manifest``
+write the manifest and move each part into place, the manifest last, and prints
+the command's success line. It removes the parts of a failed run.
 ``sample`` simulates and writes one wave of trajectories at a time, one chunk
 per simulation worker (``sde.simulation_wave``); only the endpoints are kept
 across waves.
@@ -100,7 +101,7 @@ def _end_phase(args, name: str) -> None:
 def _outputs(args, inputs: dict, outputs: dict) -> dict:
     """Part files of the ``outputs`` not None and of their manifest, kept in
     ``args.outputs`` (nonempty ``inputs`` in ``args.inputs``). An output at the
-    real path of an input or another output exits 2; at a directory or in a file, 3."""
+    real path of an input or another output exits 2; at a directory or under a file, 3."""
     args.inputs = [path for path in inputs.values() if path]
     outputs = {flag: path for flag, path in outputs.items() if path is not None}
     if outputs:
@@ -113,7 +114,10 @@ def _outputs(args, inputs: dict, outputs: dict) -> dict:
             raise UsageError(f"{args.command}: {seen[where]} and {flag} name the same file {path}")
         if os.path.isdir(where):
             raise DataError(f"{args.command}: {flag} names a directory: {path}")
-        if os.path.lexists(os.path.dirname(where)) and not os.path.isdir(os.path.dirname(where)):
+        above = os.path.dirname(where)
+        while not os.path.lexists(above):  # up to the nearest existing ancestor
+            above = os.path.dirname(above)
+        if not os.path.isdir(above):
             raise DataError(f"{args.command}: {flag} is not in a directory: {path}")
         seen[where] = flag
         path = Path(path)
@@ -160,7 +164,7 @@ def _write_manifest(args, config=None, **results):
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[str | None, dict]:
     parts = _outputs(args, {}, {"--out": args.out})
     rng = np.random.default_rng(args.seed)
     if args.dataset != "gauss-pairs":
@@ -183,12 +187,10 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         raise UsageError(f"generate --dataset {args.dataset}: {exc}") from None
     write_pairs(parts["--out"], ds)
-    _write_manifest(args)
-    print(f"wrote {len(ds)} pairs (d = {ds.d}) to {args.out}")
-    return 0
+    return f"wrote {len(ds)} pairs (d = {ds.d}) to {args.out}", {}
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple[str | None, dict]:
     out_dir = Path(args.out)
     parts = _outputs(args, {"--data": args.data, "--config": args.config},
                      {name: out_dir / name for name in ("model.bkt", "loss_trace.csv")})
@@ -207,9 +209,8 @@ def cmd_train(args) -> int:
     save_train_result(parts["model.bkt"], result)
     write_loss_trace(parts["loss_trace.csv"], result.trace)
     _end_phase(args, "write")
-    _write_manifest(args, config=config.to_dict(), seed=config.seed)
-    print(f"trained {config.n_iters} iterations; model at {out_dir / 'model.bkt'}")
-    return 0
+    return (f"trained {config.n_iters} iterations; model at {out_dir / 'model.bkt'}",
+            {"config": config.to_dict(), "seed": config.seed})
 
 
 def _side(spec: str) -> tuple[str, str | None]:
@@ -230,7 +231,7 @@ def _read_points(path: str, side=None, *, bare=None, arg=None) -> np.ndarray:
     return read_cloud(path) if side is None else getattr(read_pairs(path), side)
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[str | None, dict]:
     out = Path(args.out)
     if args.endpoints_out is None:
         args.endpoints_out = str(out.parent / f"{out.stem}_endpoints.csv")
@@ -259,12 +260,11 @@ def cmd_sample(args) -> int:
         _end_phase(args, "write")
     write_cloud(parts["--endpoints-out"], endpoints)
     _end_phase(args, "write")
-    _write_manifest(args, simulation_workers=n_workers)
-    print(f"simulated {n_traj} trajectories x {args.steps} steps -> {args.out}")
-    return 0
+    return (f"simulated {n_traj} trajectories x {args.steps} steps -> {args.out}",
+            {"simulation_workers": n_workers})
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> tuple[str | None, dict]:
     (pred_path, pred_side), (ref_path, ref_side) = _side(args.pred), _side(args.ref)
     parts = _outputs(args, {"--pred": pred_path, "--ref": ref_path},
                      {"--out": args.out, "--csv-out": args.csv_out})
@@ -321,16 +321,13 @@ def cmd_evaluate(args) -> int:
         write_csv(parts["--csv-out"], names, np.array([values], dtype=float))
     _end_phase(args, "write")
     args.metrics = names
-    _write_manifest(args, **diagnostics)
-    return 0
+    return None, diagnostics  # the report is already on stdout
 
 
-def cmd_export_drift(args) -> int:
+def cmd_export_drift(args) -> tuple[str | None, dict]:
     parts = _outputs(args, {"--model": args.model}, {"--out": args.out})
     export_drift(args.model, parts["--out"])
-    _write_manifest(args)
-    print(f"exported drift-only model to {args.out}")
-    return 0
+    return f"exported drift-only model to {args.out}", {}
 
 
 def _is_blank(path) -> bool:
@@ -340,7 +337,7 @@ def _is_blank(path) -> bool:
         return not any(block.strip() for block in iter(lambda: fh.read(1 << 16), ""))
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> tuple[str | None, dict]:
     parts = _outputs(args, {"--traj": args.traj, "--pairs": args.pairs}, {"--out": args.out})
     trajectories = None
     if args.traj and not _is_blank(args.traj):
@@ -349,9 +346,7 @@ def cmd_plot(args) -> int:
     if args.pairs:
         pairs = read_pairs(args.pairs)
     write_svg(parts["--out"], trajectories, pairs)
-    _write_manifest(args)
-    print(f"wrote {args.out}")
-    return 0
+    return f"wrote {args.out}", {}
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +440,11 @@ def main(argv=None) -> int:
     args.marks = [("start", time.monotonic())]
     args.outputs = {}  # part file -> output path, filled by _outputs
     try:
-        return args.func(args)
+        line, entries = args.func(args)
+        _write_manifest(args, **entries)
+        if line:
+            print(line)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -105,13 +105,16 @@ def _sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray, work: np.ndarray) -
 
 
 def _pair_kernel_sums(pairs, scales, n_workers: int) -> list[np.ndarray]:
-    """:func:`_kernel_sums` of each ``(a, b)`` in ``pairs``. Each stripe of
-    ``_TILE`` rows of an ``a`` is one task, and the stripes of all pairs run
-    in one ``run_tasks`` call on ``n_workers`` threads. Worker w works in the
-    w-th pair of tile buffers and mask, allocated here, on the calling
-    thread. A stripe returns each tile's weighted sum per scale (0 where it
-    skips the scale), and they are added in the serial loop's order (pair,
-    stripe, tile), so the sums do not depend on ``n_workers``.
+    """For each ``(a, b)`` in ``pairs``, the total of exp(-d^2 / (2 s^2)) over
+    all (i, j), one value per scale. When ``b is a`` only tiles on and above
+    the diagonal are evaluated, each off-diagonal tile counts twice, and the
+    diagonal's d^2 is exactly 0, so its kernel values are exactly 1.
+    Each stripe of ``_TILE`` rows of an ``a`` is one task, and the stripes of
+    all pairs run in one ``run_tasks`` call on ``n_workers`` threads. Worker w
+    works in the w-th pair of tile buffers and mask, allocated here, on the
+    calling thread. A stripe returns each tile's weighted sum per scale (0
+    where it skips the scale), and they are added in the serial loop's order
+    (pair, stripe, tile), so the sums do not depend on ``n_workers``.
     """
     neg_inv = [-1.0 / (2.0 * s * s) for s in scales]
     # Half the scale before it: 2 (s/2)^2 is exactly 2 s^2 / 4, so the kernel
@@ -189,16 +192,6 @@ def _pair_kernel_sums(pairs, scales, n_workers: int) -> list[np.ndarray]:
         for row in values:
             sums[p] += row
     return sums
-
-
-def _kernel_sums(a: np.ndarray, b: np.ndarray, scales) -> np.ndarray:
-    """Total sum of exp(-d^2 / (2 s^2)) over all (i, j), one value per scale.
-
-    When ``b is a`` only tiles on and above the diagonal are evaluated, each
-    off-diagonal tile counts twice, and the diagonal's d^2 is exactly 0, so
-    its kernel values are exactly 1.
-    """
-    return _pair_kernel_sums([(a, b)], scales, 1)[0]
 
 
 def _mmd_workers(n: int, m: int) -> int:
@@ -328,7 +321,7 @@ def sinkhorn_w(
     # Below 2^-40 of the cost scale, f / eps rounds by more than the sweeps'
     # violation can resolve.
     unresolved = eps < 2.0**-40 * cost_scale
-    if warm_start and cost_scale > 0 and eps < cost_scale / 4:
+    if warm_start and eps < cost_scale / 4:
         e = cost_scale / 4
         while e > eps:
             stages.append(e)
@@ -349,11 +342,11 @@ def sinkhorn_w(
     # K and resets u = v = 1; so does any sweep whose mat-vec or scaling
     # leaves the safe range.
     f, g = np.zeros(n), np.zeros(m)
-    u, v = np.ones(n), np.ones(m)
     it = log_sweeps = 0
     violation = None
     converged = False
     for e in stages:
+        u, v = np.ones(n), np.ones(m)
         final = e == eps
         stop = max_iters if final else min(it + 10, max_iters)
         # a / (K v) for the next sweep; None: a log-domain sweep
@@ -390,7 +383,6 @@ def sinkhorn_w(
                 converged = True
                 break
         f, g = f + e * np.log(u), g + e * np.log(v)
-        u, v = np.ones(n), np.ones(m)
     plan = plan_of(f, g, eps)
     # An unresolved eps reports the returned plan's own violation, not converged.
     if unresolved:

@@ -99,14 +99,9 @@ def render_svg(
             )
 
     if pairs is not None:
-        for a in to_px(pairs.x0):
-            parts.append(
-                f'<circle cx="{a[0]:.2f}" cy="{a[1]:.2f}" r="2.5" fill="{COLOR_START}"/>'
-            )
-        for b in to_px(pairs.x1):
-            parts.append(
-                f'<circle cx="{b[0]:.2f}" cy="{b[1]:.2f}" r="2.5" fill="{COLOR_TARGET}"/>'
-            )
+        for px, color in ((p0, COLOR_START), (p1, COLOR_TARGET)):
+            for a in px:
+                parts.append(f'<circle cx="{a[0]:.2f}" cy="{a[1]:.2f}" r="2.5" fill="{color}"/>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

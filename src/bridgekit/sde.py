@@ -102,10 +102,8 @@ class DiffusivitySchedule:
     def g(self, t):
         """Diffusivity at time t (right-continuous; g(1) is the last value)."""
         t = _check_time_domain(t)
-        idx = np.minimum(
-            np.searchsorted(np.asarray(self.breakpoints), t, side="right"),
-            len(self.g_values) - 1,
-        )
+        # At most len(breakpoints) = len(g_values) - 1, t = 1 and NaN included.
+        idx = np.searchsorted(np.asarray(self.breakpoints), t, side="right")
         return np.asarray(self.g_values)[idx]
 
     def cum_beta(self, t):
@@ -225,8 +223,6 @@ def bridge_marginal_sample(x0, x1, t, schedule: DiffusivitySchedule, rng: np.ran
     so the rng stream advances identically regardless of the t values.
     ``beta_t`` may pass ``schedule.cum_beta(t)`` when the caller has it.
     """
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
     mean, var = bridge_marginal_moments(x0, x1, t, schedule, beta_t)
     eps = rng.standard_normal(mean.shape)
     std = np.sqrt(var)

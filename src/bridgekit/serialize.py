@@ -12,16 +12,18 @@ Layout (all integers little-endian):
               network's part is its flat parameter vector, written as is
     32 bytes  SHA-256 over everything above
 
-Round trips are bit-exact. Loading rebuilds the networks from the specs and
-requires the header's layer table to equal the one the specs imply; a header
-that cannot be used, like any corruption the checksum catches, raises a
-``ModelFormatError`` naming the file, and nothing is returned.
+Round trips are bit-exact. Loading sizes the payload by the header's layer
+table and verifies the checksum before it rebuilds the networks from the
+specs, whose layer table must equal the header's; a header that cannot be
+used, like any corruption the checksum catches, raises a ``ModelFormatError``
+naming the file, and nothing is returned.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -104,6 +106,17 @@ def load_model(path) -> LoadedModel:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: unreadable model header ({exc})") from None
+    # Checked before any network is built: a corrupt header can ask for huge ones.
+    try:
+        n_bytes = 8 * sum(math.prod(shape) for _, shape in header["layer_table"])
+        payload, pos = _take(path, buf, pos, n_bytes, "parameter payload")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: unusable model header ({exc!r})") from None
+    digest, pos = _take(path, buf, pos, 32, "checksum")
+    if pos != len(buf):
+        raise ModelFormatError(f"{path}: {len(buf) - pos} trailing bytes after checksum")
+    if hashlib.sha256(buf[:-32]).digest() != digest:
+        raise ChecksumError(f"{path}: checksum mismatch, file is corrupt")
 
     try:
         kind = header["kind"]
@@ -120,14 +133,6 @@ def load_model(path) -> LoadedModel:
     nets = (drift,) if doob is None else (drift, doob)
     if header.get("layer_table") != _layer_table(nets):
         raise ModelFormatError(f"{path}: layer table does not match the network specs")
-
-    n_bytes = sum(8 * net.theta.size for net in nets)
-    payload, pos = _take(path, buf, pos, n_bytes, "parameter payload")
-    digest, pos = _take(path, buf, pos, 32, "checksum")
-    if pos != len(buf):
-        raise ModelFormatError(f"{path}: {len(buf) - pos} trailing bytes after checksum")
-    if hashlib.sha256(buf[:-32]).digest() != digest:
-        raise ChecksumError(f"{path}: checksum mismatch, file is corrupt")
 
     values = np.frombuffer(payload, dtype="<f8")
     offset = 0

@@ -716,6 +716,26 @@ def test_train_out_naming_an_existing_file_exits_3_before_reading(tmp_path, moon
     assert out.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+def test_train_out_under_an_existing_file_exits_3_before_reading(tmp_path, moon_csv, capsys,
+                                                                  monkeypatch, below):
+    def no_read(*args, **kwargs):
+        raise AssertionError(f"an input was read: {args}")
+
+    for reader in ("read_config", "read_pairs"):
+        monkeypatch.setattr(f"bridgekit.cli.{reader}", no_read)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(tiny_config_text())
+    taken = tmp_path / "f.txt"
+    taken.write_text("not a directory\n")
+    out = taken / below
+    capsys.readouterr()
+    assert run_cli("train", "--data", moon_csv, "--config", cfg, "--out", out) == 3
+    assert capsys.readouterr().err == (f"data error: train: model.bkt is not in a directory: "
+                                       f"{out / 'model.bkt'}\n")
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_train_out_naming_an_existing_file_is_a_data_error(tmp_path, moon_csv, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(tiny_config_text())
@@ -1060,6 +1080,20 @@ def test_plot_rejects_high_dimensional_data(tmp_path, capsys):
     assert "2-D" in capsys.readouterr().err
 
 
+def test_plot_rejects_three_dimensional_trajectories(tmp_path, capsys):
+    from bridgekit import TrajectoryBatch, write_trajectories
+
+    traj = tmp_path / "t3.csv"
+    write_trajectories(traj, TrajectoryBatch(times=np.linspace(0, 1, 3),
+                                             states=np.zeros((2, 3, 3))))
+    out = tmp_path / "p.svg"
+    capsys.readouterr()
+    assert run_cli("plot", "--traj", traj, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err == "data error: plotting requires 2-D data, trajectories have d = 3\n"
+    assert not out.exists()
+
+
 def test_manifests_record_command_config_seed_and_inputs(tmp_path, moon_csv, trained):
     def record(anchor):
         manifest = json.loads(Path(f"{anchor}.manifest.json").read_text())
@@ -1149,7 +1183,9 @@ def _malformed_csv(draw):
     return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+# Seeded by a number, not a digest of this source, so an edit keeps the draws.
+@seed(0)
+@settings(max_examples=60, deadline=None, database=None)
 @given(_malformed_csv())
 def test_commands_on_malformed_csv_exit_with_a_documented_code_and_one_line(text):
     with tempfile.TemporaryDirectory() as tmp:

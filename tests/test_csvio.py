@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from bridgekit import (
@@ -190,7 +190,9 @@ _FAST_BITS = st.integers(_bits(9e-5), _bits(2e16))  # positive doubles in value 
 _SIGNED_FAST = st.tuples(st.booleans(), _FAST_BITS).map(lambda t: (t[0] << 63) | t[1])
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+# Seeded by a number, not a digest of this source, so an edit keeps the draws.
+@seed(0)
+@settings(max_examples=150, deadline=None, database=None)
 @given(st.lists(st.integers(0, 2**64 - 1) | _SIGNED_FAST | st.floats(width=64).map(_bits),
                 min_size=1, max_size=200))
 def test_formatter_matches_format_17g_on_any_float64(bits):

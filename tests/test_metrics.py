@@ -168,7 +168,7 @@ def test_mmd_memory_does_not_grow_with_cloud_size():
 
 
 def test_mmd_diagonal_kernel_values_are_exactly_one():
-    from bridgekit.metrics import _kernel_sums
+    from bridgekit.metrics import _pair_kernel_sums
 
     # Far from the origin |a|^2 + |a|^2 - 2 a.a is not 0 in floating point; at
     # a scale of 0.005 that error alone took 2.4e-4 off the sum.
@@ -177,7 +177,7 @@ def test_mmd_diagonal_kernel_values_are_exactly_one():
     g = np.column_stack([cols.ravel() + 1000.3, rows.ravel() - 777.7])
     g += rng.uniform(-0.01, 0.01, size=g.shape)
     assert len(g) == 300
-    assert _kernel_sums(g, g, (0.005,))[0] == 300.0
+    assert _pair_kernel_sums([(g, g)], (0.005,), 1)[0][0] == 300.0
 
 
 def serial_kernel_sums(a, b, scales):
@@ -332,13 +332,13 @@ def test_mmd_rejects_bad_scales(scales):
 
 
 def test_kernel_sums_match_one_exp_per_scale():
-    from bridgekit.metrics import _kernel_sums
+    from bridgekit.metrics import _pair_kernel_sums
 
     # A single-scale call takes one exp per tile: the path without halving.
     for x, y in multi_tile_clouds():
         for a, b in ((x, x), (y, y), (x, y)):
-            sums = _kernel_sums(a, b, DEFAULT_MMD_SCALES)
-            per_scale = [_kernel_sums(a, b, (s,))[0] for s in DEFAULT_MMD_SCALES]
+            sums = _pair_kernel_sums([(a, b)], DEFAULT_MMD_SCALES, 1)[0]
+            per_scale = [_pair_kernel_sums([(a, b)], (s,), 1)[0][0] for s in DEFAULT_MMD_SCALES]
             np.testing.assert_allclose(sums, per_scale, rtol=1e-13, atol=0.0)
 
 
@@ -826,3 +826,15 @@ def test_ps_l2_values():
 def test_ps_l2_dimension_mismatch():
     with pytest.raises(ValueError):
         ps_l2(np.zeros((3, 2)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("metric", [mmd, sinkhorn_w, rmsd, ps_l2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_metrics_reject_a_non_finite_cloud(metric, bad):
+    good = np.zeros((3, 2))
+    worse = good.copy()
+    worse[1, 0] = bad
+    with pytest.raises(ValueError, match="^the first cloud contains non-finite values$"):
+        metric(worse, good)
+    with pytest.raises(ValueError, match="^the second cloud contains non-finite values$"):
+        metric(good, worse)

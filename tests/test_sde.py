@@ -369,6 +369,11 @@ def test_h_estimate_argument_validation():
         estimate_h_mc(np.zeros(1), 0.5, np.zeros(1), 0.1, ZERO_DRIFT, CONST, grid, 0, 0)
 
 
+def test_h_estimate_rejects_states_of_different_shapes():
+    with pytest.raises(ValueError, match=r"^state shapes differ: \(2,\) vs \(3,\)$"):
+        estimate_h_mc(np.zeros(2), 0.5, np.zeros(3), 0.1, ZERO_DRIFT, CONST, TimeGrid(10), 0, 10)
+
+
 def test_trained_single_pair_conditioned_simulation(single_pair_model):
     # Endpoint-corrected simulation on a well-trained model lands on the
     # paired target; the bridge itself is the oracle for where paths belong.

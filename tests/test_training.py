@@ -353,6 +353,26 @@ def test_config_validation_bounds():
         TrainConfig(g=-1.0)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n_iters", -1, "n_iters must be >= 0"),
+    ("times_per_pair", 0, "times_per_pair must be >= 1"),
+    ("ema_decay", -0.1, r"ema_decay must lie in \[0, 1\]"),
+    ("ema_decay", 1.5, r"ema_decay must lie in \[0, 1\]"),
+    ("eval_every", 0, "eval_every must be >= 1"),
+])
+def test_config_bounds_name_the_key(key, value, message):
+    with pytest.raises(ConfigError, match=rf"^{message}$"):
+        TrainConfig(**{key: value})
+
+
+def test_config_line_without_equals_names_its_file_and_line():
+    text = full_config_text() + "# next:\nno equals sign\n"
+    line = len(text.splitlines())
+    with pytest.raises(ConfigError, match=rf"^cfg\.txt:{line}: expected 'key = value', "
+                                          rf"got 'no equals sign'$"):
+        parse_config(text, "cfg.txt")
+
+
 def test_config_skips_comment_only_and_blank_lines():
     text = "# a comment line\n\n   \n" + full_config_text().replace("\n", "\n  # note\n\n")
     assert parse_config(text) == TrainConfig()
