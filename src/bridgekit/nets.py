@@ -12,12 +12,14 @@ Every linear layer except the final head layer is followed by the chosen
 activation and dropout. ``forward`` returns caches that ``backward`` consumes
 to produce exact parameter gradients; no autodiff framework is involved.
 
-A network owns its parameters as one contiguous float64 vector ``theta``,
-laid out block by block (x_enc, t_enc, head), layer by layer, W then b; every
-layer's weight and bias are views of it. ``backward`` returns the gradient as
-one vector in the same layout, so the optimizer, the EMA and the model file
-each handle one vector per network and only this module knows the layers;
-``params().shape_table`` names the arrays in that layout.
+A network is its spec and one contiguous float64 vector ``theta``, laid out
+block by block (x_enc, t_enc, head), layer by layer, W then b, as
+``layer_table(spec)`` names the arrays from the spec alone; every layer's
+weight and bias are views of theta. Built with ``theta=v`` a network copies
+``v``; otherwise it draws its initial values from ``rng``. Pickling and deep
+copies rebuild it from its spec and theta. ``backward`` returns the gradient
+as one vector in the same layout, so the optimizer, the EMA and the model
+file each handle one vector per network and only this module knows the layers.
 
 Calling a network is always eval mode; a training pass is
 ``forward(t, x, train=True, rng=...)``. Each block runs one layer pass with
@@ -157,8 +159,9 @@ class MlpSpec:
 
     def __post_init__(self):
         for name in ("input_dim", "output_dim", "hidden_dim", "time_embed_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
         if self.time_embed_dim % 2 != 0:
             raise ValueError("time_embed_dim must be even")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -182,6 +185,22 @@ class ParamSet(NamedTuple):
 
     theta: np.ndarray
     shape_table: list[tuple[str, tuple[int, ...]]]
+
+
+def layer_table(spec: MlpSpec) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter array of a network built from
+    ``spec``, in ``theta`` order: block by block (x_enc, t_enc, head), layer
+    by layer, W then b."""
+    h = spec.hidden_dim
+    blocks = (
+        ("x_enc", [spec.input_dim * (2 if spec.uses_drift_input else 1)] + [h] * X_ENC_LAYERS),
+        ("t_enc", [spec.time_embed_dim] + [h] * T_ENC_LAYERS),
+        ("head", [2 * h] + [h] * (HEAD_LAYERS - 1) + [spec.output_dim]),
+    )
+    return [(f"{name}/{li}/{part}", shape)
+            for name, sizes in blocks
+            for li, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))
+            for part, shape in (("W", (n_out, n_in)), ("b", (n_out,)))]
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +232,13 @@ def time_embed(t, dim: int) -> np.ndarray:
 
 class _Block:
     """A stack of linear layers; all but (optionally) the last carry
-    activation + dropout."""
+    activation + dropout. ``layers`` holds each layer's (W, b)."""
 
-    def __init__(self, sizes, activation, bare_last, rng):
+    def __init__(self, activation, layers, bare_last):
         self._act = ACTIVATIONS[activation]
         self.bare_last = bare_last
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            bound = np.sqrt(1.0 / fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+        self.weights = [w for w, _ in layers]
+        self.biases = [b for _, b in layers]
 
     @property
     def n_layers(self) -> int:
@@ -286,72 +301,53 @@ class _TimeConditionedNet:
 
     block_names = ("x_enc", "t_enc", "head")
 
-    def __init__(self, spec: MlpSpec, rng: Optional[np.random.Generator] = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, spec: MlpSpec, rng: Optional[np.random.Generator] = None,
+                 theta: Optional[np.ndarray] = None):
+        if rng is not None and theta is not None:
+            raise ValueError("pass rng to draw the parameters or theta to copy, not both")
         self.spec = spec
-        h = spec.hidden_dim
-        state_in = spec.input_dim * (2 if spec.uses_drift_input else 1)
-        self.x_enc = _Block(
-            [state_in] + [h] * X_ENC_LAYERS, spec.activation, bare_last=False, rng=rng,
-        )
-        self.t_enc = _Block(
-            [spec.time_embed_dim] + [h] * T_ENC_LAYERS, spec.activation, bare_last=False,
-            rng=rng,
-        )
-        self.head = _Block(
-            [2 * h] + [h] * (HEAD_LAYERS - 1) + [spec.output_dim],
-            spec.activation, bare_last=True, rng=rng,
+        self._table = layer_table(spec)
+        # Each layer's (W start, W end, W shape, b end) in theta.
+        spans, pos = [], 0
+        for (_, w_shape), (_, (n_out,)) in zip(self._table[0::2], self._table[1::2]):
+            end = pos + w_shape[0] * w_shape[1]
+            spans.append((pos, end, w_shape, end + n_out))
+            pos = end + n_out
+        if theta is None:
+            rng = np.random.default_rng(0) if rng is None else rng
+            self.theta = np.zeros(pos)
+            for start, end, w_shape, _ in spans:
+                bound = np.sqrt(1.0 / w_shape[1])
+                self.theta[start:end] = rng.uniform(-bound, bound, size=w_shape).ravel()
+            self.theta[start:end] = 0.0  # a zero last layer: the initial net returns 0
+        else:
+            self.theta = np.array(theta, dtype=np.float64)
+            if self.theta.shape != (pos,):
+                raise ValueError(f"theta must be a vector of {pos} values for this spec, "
+                                 f"got shape {self.theta.shape}")
+        t_end = X_ENC_LAYERS + T_ENC_LAYERS
+        self._spans = (spans[:X_ENC_LAYERS], spans[X_ENC_LAYERS:t_end], spans[t_end:])
+        self.x_enc, self.t_enc, self.head = (
+            _Block(spec.activation, views, bare_last=name == "head")
+            for name, views in zip(self.block_names, self._layer_views(self.theta))
         )
         self._local = threading.local()  # per-thread layer buffers, see _buffers
-        # Move the drawn values into one vector and make every layer a view of it.
-        self.theta = np.concatenate([a.ravel() for blk in self._blocks()
-                                     for wb in zip(blk.weights, blk.biases) for a in wb])
-        self._bind_layers()
-        self.head.weights[-1][...] = 0.0  # a zero last layer: the initial net returns 0
 
-    def _bind_layers(self):
-        """Makes every layer's weights and bias views of ``theta``."""
-        for blk, views in zip(self._blocks(), self._layer_views(self.theta)):
-            blk.weights = [w for w, _ in views]
-            blk.biases = [b for _, b in views]
-
-    def __getstate__(self):
-        # Layer buffers are per-thread scratch and are not copied; pickling
-        # stores the layers as arrays of their own, so they become views of
-        # theta again on loading.
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._local = threading.local()
-        self._bind_layers()
+    def __reduce__(self):
+        # Layer buffers are per-thread scratch; a copy is rebuilt from the
+        # spec and a copy of theta.
+        return type(self), (self.spec, None, self.theta)
 
     # -- parameters ---------------------------------------------------------
-
-    def _blocks(self):
-        return (self.x_enc, self.t_enc, self.head)
 
     def _layer_views(self, vec):
         """Per block, the (W, b) views of each layer into a vector laid out
         like ``theta``."""
-        out, pos = [], 0
-        for blk in self._blocks():
-            out.append([])
-            for w, b in zip(blk.weights, blk.biases):
-                end = pos + w.size
-                out[-1].append((vec[pos:end].reshape(w.shape), vec[end : end + b.size]))
-                pos = end + b.size
-        return out
+        return [[(vec[p:e].reshape(shape), vec[e:q]) for p, e, shape, q in block]
+                for block in self._spans]
 
     def params(self) -> ParamSet:
-        table = []
-        for bname, block in zip(self.block_names, self._blocks()):
-            for li, (w, b) in enumerate(zip(block.weights, block.biases)):
-                table += [(f"{bname}/{li}/W", w.shape), (f"{bname}/{li}/b", b.shape)]
-        return ParamSet(self.theta, table)
+        return ParamSet(self.theta, self._table)
 
     # -- forward / backward -------------------------------------------------
 
@@ -478,10 +474,10 @@ class _TimeConditionedNet:
 class DriftNet(_TimeConditionedNet):
     """Learned drift b(t, x). Zero final layer makes the initial net return 0."""
 
-    def __init__(self, spec: MlpSpec, rng=None):
+    def __init__(self, spec: MlpSpec, rng=None, theta=None):
         if spec.uses_drift_input:
             raise ValueError("drift networks do not take a drift input")
-        super().__init__(spec, rng)
+        super().__init__(spec, rng, theta)
 
     def __call__(self, t, x):
         """Eval-mode output b(t, x)."""

@@ -13,10 +13,11 @@ Layout (all integers little-endian):
     32 bytes  SHA-256 over everything above
 
 Round trips are bit-exact. Loading sizes the payload by the header's layer
-table and verifies the checksum before it rebuilds the networks from the
-specs, whose layer table must equal the header's; a header that cannot be
-used, like any corruption the checksum catches, raises a ``ModelFormatError``
-naming the file, and nothing is returned.
+table and verifies the checksum, then compares that table with the one the
+specs give (``nets.layer_table``); only then does it build the networks, each
+from its slice of the payload, drawing no random numbers. A header that
+cannot be used, like any corruption the checksum catches, raises a
+``ModelFormatError`` naming the file, and nothing is returned.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChecksumError, ModelFormatError, VersionError
-from .nets import DoobNet, DriftNet, MlpSpec
+from .nets import DoobNet, DriftNet, MlpSpec, layer_table
 from .sde import DiffusivitySchedule
 
 MAGIC = b"BKITMODL"
@@ -50,12 +51,12 @@ class LoadedModel:
     config: Optional[dict]
 
 
-def _layer_table(nets) -> list[list]:
-    """Name and shape of every parameter array of ``nets``, (drift,) or
-    (drift, doob)."""
+def _layer_table(specs) -> list[list]:
+    """Name and shape of every parameter array of the networks built from
+    ``specs``, (drift,) or (drift, doob)."""
     return [[f"{prefix}/{name}", list(shape)]
-            for prefix, net in zip(("drift", "doob"), nets)
-            for name, shape in net.params().shape_table]
+            for prefix, spec in zip(("drift", "doob"), specs)
+            for name, shape in layer_table(spec)]
 
 
 def save_model(
@@ -72,7 +73,7 @@ def save_model(
         "doob_spec": doob.spec.to_dict() if doob is not None else None,
         "schedule": schedule.to_dict(),
         "config": config,
-        "layer_table": _layer_table(nets),
+        "layer_table": _layer_table([net.spec for net in nets]),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = b"".join(net.theta.astype("<f8", copy=False).tobytes() for net in nets)
@@ -120,25 +121,22 @@ def load_model(path) -> LoadedModel:
 
     try:
         kind = header["kind"]
-        drift = DriftNet(MlpSpec.from_dict(header["drift_spec"]), rng=np.random.default_rng(0))
-        doob = None
-        if kind == KIND_PAIR:
-            doob = DoobNet(MlpSpec.from_dict(header["doob_spec"]), rng=np.random.default_rng(0))
-        elif kind != KIND_DRIFT_ONLY:
+        if kind not in (KIND_PAIR, KIND_DRIFT_ONLY):
             raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+        specs = [MlpSpec.from_dict(header["drift_spec"])]
+        if kind == KIND_PAIR:
+            specs.append(MlpSpec.from_dict(header["doob_spec"]))
         schedule = DiffusivitySchedule.from_dict(header["schedule"])
         config = header.get("config")
+        # Compared before building: a spec that disagrees can ask for any size.
+        if header["layer_table"] != _layer_table(specs):
+            raise ModelFormatError(f"{path}: layer table does not match the network specs")
+        values = np.frombuffer(payload, dtype="<f8")
+        n_drift = sum(math.prod(shape) for _, shape in layer_table(specs[0]))
+        drift = DriftNet(specs[0], theta=values[:n_drift])
+        doob = DoobNet(specs[1], theta=values[n_drift:]) if kind == KIND_PAIR else None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: unusable model header ({exc!r})") from None
-    nets = (drift,) if doob is None else (drift, doob)
-    if header.get("layer_table") != _layer_table(nets):
-        raise ModelFormatError(f"{path}: layer table does not match the network specs")
-
-    values = np.frombuffer(payload, dtype="<f8")
-    offset = 0
-    for net in nets:
-        net.theta[...] = values[offset : offset + net.theta.size]
-        offset += net.theta.size
     return LoadedModel(
         kind=kind,
         drift=drift,

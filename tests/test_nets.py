@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from bridgekit import DoobNet, DriftNet, MlpSpec, time_embed
 from bridgekit.errors import NumericsError
-from bridgekit.nets import ACTIVATIONS
+from bridgekit.nets import ACTIVATIONS, layer_table, make_doob_spec, make_drift_spec
 
 
 def small_spec(**overrides):
@@ -321,6 +322,13 @@ def test_spec_validation():
         MlpSpec(input_dim=1, output_dim=1, dropout_rate=1.0)
     with pytest.raises(ValueError):
         MlpSpec(input_dim=1, output_dim=1, activation="tanh")
+    # A dimension must be an int: 4.0 == 4 would pass a layer-table comparison.
+    for name, value in (("hidden_dim", 4.0), ("time_embed_dim", 2.0), ("input_dim", 2.0),
+                        ("hidden_dim", True), ("output_dim", np.int64(2))):
+        kw = dict(input_dim=2, output_dim=2)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+            MlpSpec(**kw)
 
 
 def test_drift_net_rejects_drift_input_spec():
@@ -357,6 +365,80 @@ def test_pickled_and_copied_nets_compute_the_same_and_own_their_theta():
         twin.theta[:] = 0.0
         assert not np.any(twin(0.3, x, b_value=b_val))
         np.testing.assert_array_equal(net(0.3, x, b_value=b_val), expected)
+
+
+# sha256 of the initial theta as bridgekit 0.1.20 drew it: drift nets from
+# default_rng(0), correction nets from default_rng(1); hidden width 8 with
+# time_embed_dim 4, width 64 with 64. The activation does not enter the draw.
+INITIAL_THETA_SHA256 = {
+    ("drift", 1, 8): "9271fe94954aad7cb18def4f203761f831651ceb9df88f375cd42b51dee7fee9",
+    ("drift", 1, 64): "bdce1b0a6a7f7b7ef246fa22862f39c5957483688c05e35bc6482f9d0c0cda87",
+    ("drift", 2, 8): "910ec56a79c44e2288cf5694f90de83ea49b5a8593780acb890395426fdf9433",
+    ("drift", 2, 64): "c1296cae85b5e476b46c7a5c3eaf339b7f5630bd8b220987d4811f5f8ef4855a",
+    ("drift", 3, 8): "d5c9b6ffba5e37c17cdb297facaf96a177baa37f9e9a43e1e538a9ca3e55fa69",
+    ("drift", 3, 64): "4f0df1ae5a3ff09315988855de1bf19cde8240b91a94cf6642376247b8ad77c3",
+    ("doob", 1, 8): "1060d8247b2b5d2c14c2437e0f05984c1ee28b84977229041e75cb7cfdc9f3ea",
+    ("doob", 1, 64): "7d9d2ce93948b576b8ea1026862a0c63dd3e0f87aed5a559aa45f2ffbfe979a9",
+    ("doob", 2, 8): "b6cb49b94b1f996af97864e73a706c696dcfed1338a506758e310ed292564426",
+    ("doob", 2, 64): "55a09b96d8a044d7d2507d42139b9413c32bfa6ee5769983f10ff5dc5464f36c",
+    ("doob", 3, 8): "2d831c46dc76f6442ee33ef6be53ea6db00c5612813065709fe8d13348976144",
+    ("doob", 3, 64): "9005c2e40795ef493a5634d83b987867cb2fba302eb92773503f96a16152e890",
+}
+
+
+def theta_sha256(net):
+    return hashlib.sha256(net.theta.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, d, hidden", sorted(INITIAL_THETA_SHA256))
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_initial_parameters_are_those_of_0_1_20(kind, d, hidden, activation):
+    cls, make_spec, seed = (DriftNet, make_drift_spec, 0) if kind == "drift" else (
+        DoobNet, make_doob_spec, 1)
+    spec = make_spec(d, hidden_dim=hidden, time_embed_dim=4 if hidden == 8 else 64,
+                     activation=activation)
+    net = cls(spec, rng=np.random.default_rng(seed))
+    assert theta_sha256(net) == INITIAL_THETA_SHA256[kind, d, hidden]
+
+
+def test_initial_parameters_without_an_rng_and_from_another_seed():
+    assert theta_sha256(DriftNet(make_drift_spec(2))) == INITIAL_THETA_SHA256["drift", 2, 64]
+    net = DriftNet(make_drift_spec(3, hidden_dim=8, time_embed_dim=4),
+                   rng=np.random.default_rng(5))
+    assert theta_sha256(net) == (
+        "dcca1c745fcad44aba89d3aaa2a9e1d802998a9f832fccbc39d82eee42a81aa1")
+
+
+def test_a_net_built_from_theta_owns_a_copy():
+    spec = small_spec(uses_drift_input=True)
+    source = randomize(DoobNet(spec), 70)
+    v = source.theta.copy()
+    net = DoobNet(spec, theta=v)
+    assert not np.shares_memory(net.theta, v)
+    assert all(np.shares_memory(a, net.theta) for blk in (net.x_enc, net.t_enc, net.head)
+               for a in blk.weights + blk.biases)
+    x = np.random.default_rng(71).normal(size=(5, 3))
+    expected = source(0.3, x, b_value=x)
+    np.testing.assert_array_equal(net(0.3, x, b_value=x), expected)
+    v[:] = 0.0
+    np.testing.assert_array_equal(net(0.3, x, b_value=x), expected)
+
+
+def test_theta_must_have_the_size_of_the_layer_table():
+    spec = small_spec()
+    n = sum(math.prod(shape) for _, shape in layer_table(spec))
+    assert DriftNet(spec).params().shape_table == layer_table(spec)
+    assert DriftNet(spec).theta.shape == (n,)
+    for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n))):
+        with pytest.raises(ValueError, match=f"theta must be a vector of {n} values"):
+            DriftNet(spec, theta=bad)
+
+
+def test_rng_and_theta_together_are_refused():
+    spec = small_spec()
+    theta = DriftNet(spec).theta
+    with pytest.raises(ValueError, match="not both"):
+        DriftNet(spec, rng=np.random.default_rng(0), theta=theta)
 
 
 def test_backward_returns_one_vector_in_param_order():

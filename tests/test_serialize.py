@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,9 @@ BAD_HEADERS = {
     "g-nan": _set_first_g(float("nan")),
     "g-inf": _set_first_g(float("inf")),
     "g-squared-overflows": _set_first_g(1e200),
+    "hidden-dim-float": lambda h: h["drift_spec"].update(hidden_dim=4.0),
+    "input-dim-float": lambda h: h["drift_spec"].update(input_dim=2.0),
+    "hidden-dim-bool": lambda h: h["drift_spec"].update(hidden_dim=True),
 }
 
 
@@ -242,6 +246,14 @@ def test_cli_rejects_non_finite_diffusivity(tmp_path, header):
     # save_model cannot write such a schedule, so the header is built by hand.
     model = tmp_path / "bad.bkt"
     rewrite_header(V1_PAIR, model, BAD_HEADERS[header])
+    _sample_and_export_fail_with_one_line(model, tmp_path)
+
+
+def test_cli_names_a_non_integer_spec_dimension(tmp_path):
+    model = tmp_path / "bad.bkt"
+    rewrite_header(V1_PAIR, model, BAD_HEADERS["hidden-dim-float"])
+    with pytest.raises(ModelFormatError, match="hidden_dim must be a positive integer"):
+        load_model(model)
     _sample_and_export_fail_with_one_line(model, tmp_path)
 
 
@@ -299,3 +311,76 @@ def test_corrupt_header_asking_for_huge_networks_fails_the_checksum(tmp_path, ca
     err = capsys.readouterr().err
     assert code == 3
     assert err == f"data error: {model}: checksum mismatch, file is corrupt\n"
+
+
+def test_specs_that_disagree_with_the_layer_table_are_refused_before_building(tmp_path, capsys):
+    # A valid checksum over specs that ask for far wider networks than the
+    # header's table and payload hold: refused by comparing the tables, with
+    # no network built. Building the 1,000-wide drift net first would trace
+    # about 92 MiB; the 10^6-wide one cannot be allocated at all.
+    model = tmp_path / "wide.bkt"
+    message = f"{model}: layer table does not match the network specs"
+    rewrite_header(V1_PAIR, model, lambda h: h["drift_spec"].update(hidden_dim=1000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+            load_model(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    rewrite_header(V1_PAIR, model, lambda h: h["drift_spec"].update(hidden_dim=10**6))
+    starts = tmp_path / "starts.csv"
+    starts.write_text("x_0,x_1\n0.0,0.0\n")
+    capsys.readouterr()
+    code = main(["sample", "--model", str(model), "--data", str(starts),
+                 "--out", str(tmp_path / "t.csv")])
+    assert (code, capsys.readouterr().err) == (3, f"data error: {message}\n")
+
+
+def test_load_model_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_model called np.random.default_rng")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    model = load_model(V1_PAIR)
+    assert (model.drift.theta.size, model.doob.theta.size) == (150, 158)
+
+
+_REMOVED = object()
+_JSON_VALUES = st.one_of(
+    st.integers(-1, 1000), st.floats(), st.booleans(), st.text(max_size=8), st.none(),
+    st.lists(st.one_of(st.integers(-1, 1000), st.text(max_size=4)), max_size=3),
+)
+
+
+# Ints stop at 1,000: should networks ever be built before the table check
+# again, a drawn width costs about 100 MB, not the machine's memory.
+@seed(0)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(["drift_spec", "doob_spec"]),
+       st.sampled_from(sorted(MlpSpec.__dataclass_fields__)),
+       st.one_of(st.just(_REMOVED), _JSON_VALUES))
+def test_cli_on_a_spec_edited_under_a_valid_checksum_exits_0_or_3(which, key, value):
+    def edit(header):
+        if value is _REMOVED:
+            header[which].pop(key)
+        else:
+            header[which][key] = value
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        model = tmp / "edited.bkt"
+        rewrite_header(V1_PAIR, model, edit)
+        starts = tmp / "starts.csv"
+        starts.write_text("x_0,x_1\n0.0,0.0\n")
+        for argv in (["sample", "--model", model, "--data", starts, "--steps", 1,
+                      "--out", tmp / "t.csv"],
+                     ["export-drift", "--model", model, "--out", tmp / "prior.bkt"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([str(a) for a in argv])
+            assert code in (0, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code == 3:
+                assert len(err.getvalue().strip().splitlines()) == 1
