@@ -302,7 +302,8 @@ def cmd_evaluate(args) -> tuple[str | None, dict]:
                 diagnostics["sinkhorn"] = {"n_iters": result.n_iters,
                                            "marginal_violation": result.marginal_violation,
                                            "converged": result.converged,
-                                           "log_sweeps": result.log_sweeps}
+                                           "log_sweeps": result.log_sweeps,
+                                           "relaxation": result.relaxation}
             elif name == "rmsd":
                 value = rmsd(pred, ref)
             else:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass
+from numbers import Real
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -164,8 +165,11 @@ class MlpSpec:
                 raise ValueError(f"{name} must be a positive integer")
         if self.time_embed_dim % 2 != 0:
             raise ValueError("time_embed_dim must be even")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
+        rate = self.dropout_rate
+        if isinstance(rate, bool) or not isinstance(rate, Real) or not 0.0 <= rate < 1.0:
+            raise ValueError("dropout_rate must be a real number in [0, 1)")
+        if not isinstance(self.uses_drift_input, bool):
+            raise ValueError("uses_drift_input must be a bool")
         if self.activation not in ACTIVATIONS:
             raise ValueError(
                 f"unknown activation {self.activation!r}; choose from {sorted(ACTIVATIONS)}"

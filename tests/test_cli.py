@@ -939,8 +939,9 @@ def test_evaluate_manifest_records_sinkhorn_diagnostics(tmp_path):
     assert manifest["sinkhorn"] == {"n_iters": expected.n_iters,
                                     "marginal_violation": expected.marginal_violation,
                                     "converged": expected.converged,
-                                    "log_sweeps": expected.log_sweeps}
-    assert expected.converged and expected.n_iters > 0
+                                    "log_sweeps": expected.log_sweeps,
+                                    "relaxation": expected.relaxation}
+    assert expected.converged and expected.n_iters > 0 and expected.relaxation > 1.0
     # The report keeps one "name = value" line per metric.
     assert [line.split(" = ")[0] for line in report.read_text().splitlines()] == [
         "sinkhorn", "ps_l2"]
@@ -949,18 +950,24 @@ def test_evaluate_manifest_records_sinkhorn_diagnostics(tmp_path):
     assert "sinkhorn" not in json.loads((tmp_path / "r.txt.manifest.json").read_text())
 
 
-def test_evaluate_sinkhorn_beyond_its_sweeps_warns_and_records_it(tmp_path, capsys):
-    # eps far below the cost scale: these clouds converge at eps 1e-3 only
-    # after 24,337 sweeps, so evaluate's 5000 stop short of tol.
+def _small_eps_clouds(tmp_path):
+    """300 points of N(0, I) against 310 of 0.8 N(0, I) + 0.5, as files."""
     from bridgekit import write_cloud
 
     rng = np.random.default_rng(12)
     pred, ref = tmp_path / "p.csv", tmp_path / "r.csv"
     write_cloud(pred, rng.normal(size=(300, 2)))
     write_cloud(ref, 0.8 * rng.normal(size=(310, 2)) + 0.5)
+    return pred, ref
+
+
+def test_evaluate_sinkhorn_beyond_its_sweeps_warns_and_records_it(tmp_path, capsys):
+    # eps far below the cost scale: at eps 1e-4 these clouds do not converge
+    # within evaluate's 5000 sweeps.
+    pred, ref = _small_eps_clouds(tmp_path)
     report = tmp_path / "report.txt"
     assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "sinkhorn",
-                   "--eps", 1e-3, "--out", report) == 0
+                   "--eps", 1e-4, "--out", report) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("warning: sinkhorn stopped at 5000 iterations with marginal "
@@ -970,6 +977,20 @@ def test_evaluate_sinkhorn_beyond_its_sweeps_warns_and_records_it(tmp_path, caps
     assert manifest["sinkhorn"]["n_iters"] == 5000
     assert manifest["sinkhorn"]["marginal_violation"] > 1e-6
     assert report.read_text().startswith("sinkhorn = ")
+
+
+def test_evaluate_sinkhorn_converges_at_eps_1e_3_on_far_apart_clouds(tmp_path, capsys):
+    # The plain loop needs 24,337 sweeps here; the relaxed final stage fits
+    # in evaluate's 5000.
+    pred, ref = _small_eps_clouds(tmp_path)
+    report = tmp_path / "report.txt"
+    assert run_cli("evaluate", "--pred", pred, "--ref", ref, "--metrics", "sinkhorn",
+                   "--eps", 1e-3, "--out", report) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "report.txt.manifest.json").read_text())
+    assert manifest["sinkhorn"]["converged"] is True
+    assert manifest["sinkhorn"]["n_iters"] < 5000
+    assert manifest["sinkhorn"]["marginal_violation"] < 1e-6
 
 
 def test_evaluate_manifest_records_mmd_workers(tmp_path, monkeypatch):

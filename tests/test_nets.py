@@ -329,6 +329,11 @@ def test_spec_validation():
         kw[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
             MlpSpec(**kw)
+    # The flags are taken by type, not by truthiness or comparison.
+    for name, value in (("uses_drift_input", "no"), ("uses_drift_input", 1),
+                        ("dropout_rate", False), ("dropout_rate", "0.1")):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            MlpSpec(input_dim=2, output_dim=2, **{name: value})
 
 
 def test_drift_net_rejects_drift_input_spec():

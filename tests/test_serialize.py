@@ -199,6 +199,9 @@ BAD_HEADERS = {
     "hidden-dim-float": lambda h: h["drift_spec"].update(hidden_dim=4.0),
     "input-dim-float": lambda h: h["drift_spec"].update(input_dim=2.0),
     "hidden-dim-bool": lambda h: h["drift_spec"].update(hidden_dim=True),
+    # "no" is truthy, and False compares as a rate of 0.
+    "uses-drift-input-string": lambda h: h["doob_spec"].update(uses_drift_input="no"),
+    "dropout-rate-bool": lambda h: h["drift_spec"].update(dropout_rate=False),
 }
 
 
