@@ -43,13 +43,16 @@ and a scratch that holds -C/eps + shifts in a log-domain sweep, then K, and
 at the end the returned plan. The stop test needs no plan: row i sums to
 u_i (K v)_i, where K v is the next sweep's first mat-vec, and column j to
 v_j (K^T u)_j, this sweep's second. A warm-start stage ends after at most 10
-sweeps, once its violation is below 1e-2. The final stage over-relaxes its
+sweeps, once its violation is below 5e-3. The final stage over-relaxes its
 scaling sweeps, u <- u exp(w log((a / K v) / u)) and the same for v
-(Thibault et al. 2017, arXiv:1711.01851): w is read from the rate of its
-first 10 plain sweeps as the optimum for that rate (Lehmann et al. 2020,
-arXiv:2012.12562), and raised every 10 relaxed sweeps to what their rate
-implies. The plan is formed once, from the potentials f + eps log u and
-g + eps log v that the stop test accepted.
+(Thibault et al. 2017, arXiv:1711.01851), and its log-domain sweeps alike,
+f <- (1 - w)(f + eps log u) + w f': w is read from the rate of its first 10
+plain sweeps as the optimum for that rate (Lehmann et al. 2020,
+arXiv:2012.12562), and raised every 10 sweeps to what their rate implies; a
+rate that reads a plateau gives w = 1. A relaxed scaling that would leave
+[1e-100, 1e100] sends its sweep to the log domain. The plan is formed once,
+from the potentials f + eps log u and g + eps log v that the stop test
+accepted.
 """
 
 from __future__ import annotations
@@ -77,7 +80,11 @@ _SCALING_MIN, _SCALING_MAX = 1e-100, 1e100
 
 # A warm start's stage ends once its marginal violation is below this, or
 # after 10 sweeps.
-_STAGE_TOL = 1e-2
+_STAGE_TOL = 5e-3
+
+# A violation that falls by less than this factor per sweep is on a plateau:
+# relaxing it from there lifts the violation instead.
+_PLATEAU = 0.9999
 
 
 def _as_cloud(x, name: str) -> np.ndarray:
@@ -274,16 +281,16 @@ def _scaling(weight: float, kv: np.ndarray):
     return weight / kv
 
 
-def _relaxed(old: np.ndarray, plain: np.ndarray, w: float) -> np.ndarray:
-    """``old * (plain / old)^w``, or ``plain`` when a scaling would leave
-    [1e-100, 1e100]; in the log domain, f <- (1 - w) f + w f'."""
+def _relaxed(old: np.ndarray, plain: np.ndarray, w: float):
+    """``old * (plain / old)^w``, in the log domain f <- (1 - w) f + w f'; or
+    None when a scaling would leave [1e-100, 1e100]."""
     step = np.log(plain / old)
     step *= w
     with np.errstate(over="ignore"):  # an overflow to inf is out of range
         np.exp(step, out=step)
     step *= old
     if not (_SCALING_MIN <= step.min() and step.max() <= _SCALING_MAX):
-        return plain
+        return None
     return step
 
 
@@ -296,8 +303,9 @@ def _rate(history: list) -> float:
 def _best_w(rate: float) -> float:
     """The over-relaxation 2 / (1 + sqrt(1 - rate)) that is best for a plain
     Sinkhorn iteration of linear rate ``rate`` (Lehmann et al. 2020,
-    arXiv:2012.12562), at most 1.9; 1 for a rate that shows no convergence."""
-    if not 0.0 <= rate < 1.0:
+    arXiv:2012.12562), at most 1.9; 1 for a rate of 0.9999 or more, which
+    reads a plateau, not a linear rate."""
+    if not 0.0 <= rate < _PLATEAU:
         return 1.0
     return min(1.9, 2.0 / (1.0 + math.sqrt(1.0 - rate)))
 
@@ -313,12 +321,12 @@ def sinkhorn_w(
     ``tol``; the reported scalar is the plain transport cost <P, C> of the
     converged plan. ``warm_start`` anneals the regularization from a large
     value down to ``eps``, at most 10 sweeps per halving, each halving ending
-    once its violation is below 1e-2 (deterministic, and essential for
+    once its violation is below 5e-3 (deterministic, and essential for
     convergence when eps is far below the cost scale); the annealing sweeps
     count toward ``max_iters``. The sweeps at ``eps`` are over-relaxed by a
     w in [1, 1.9] derived from their own convergence rate, and return to
-    w = 1 for good once the violation passes 10 times its value when
-    relaxation began; the result's ``relaxation`` is the last w. Raises
+    w = 1 for good once the violation passes 10 times its value at the 10th
+    of them; the result's ``relaxation`` is the last w. Raises
     ``ValueError`` when the largest cost over ``eps`` is not finite, and
     when the annealing stages alone could use up ``max_iters``.
     """
@@ -388,7 +396,9 @@ def sinkhorn_w(
     it = log_sweeps = 0
     violation = None
     converged = False
-    w, w_on = 1.0, None  # the final stage's relaxation, and its violation at switch-on
+    # The final stage's relaxation, and its violation at its 10th sweep; None
+    # once relaxation is off for good.
+    w, base = 1.0, None
     for e in stages:
         u, v = np.ones(n), np.ones(m)
         final = e == eps
@@ -398,23 +408,36 @@ def sinkhorn_w(
         u_next = _scaling(a_w, plan_of(f, g, e).sum(axis=1)) if len(stages) > 1 else None
         f_next = None  # the next f-update, when the log-domain stop test made it
         while it < stop:
+            # u and v for this sweep; None: a log-domain sweep
+            v_new = None
             if w != 1.0 and u_next is not None:
                 u_next = _relaxed(u, u_next, w)
-            v_next = None if u_next is None else _scaling(b_w, work.T @ u_next)
+            if u_next is not None:
+                v_next = _scaling(b_w, work.T @ u_next)
+                v_new = v_next if w == 1.0 or v_next is None else _relaxed(v, v_next, w)
             col_violation = 0.0
-            if v_next is None:
+            if v_new is None:
                 log_sweeps += 1
-                f = f_update(g + e * np.log(v), e) if f_next is None else f_next
-                g = half_sweep((f / e + log_a)[:, None], 0, e)
+                f_plain = f_update(g + e * np.log(v), e) if f_next is None else f_next
+                if w == 1.0:
+                    f = f_plain
+                    g = half_sweep((f / e + log_a)[:, None], 0, e)
+                else:
+                    f = (1.0 - w) * (f + e * np.log(u)) + w * f_plain
+                    g_plain = half_sweep((f / e + log_a)[:, None], 0, e)
+                    g = (1.0 - w) * (g + e * np.log(v)) + w * g_plain
+                    # Column j of the plan sums to b_j exp((g_j - g'_j) / e),
+                    # with g' the plain g-update; clamped like the rows' test.
+                    col_excess = np.minimum((g - g_plain) / e, 50.0)
+                    col_violation = float(b_w * np.sum(np.abs(1.0 - np.exp(col_excess))))
                 plan_of(f, g, e)
                 u, v = np.ones(n), np.ones(m)
-            elif w == 1.0:
-                u, v = u_next, v_next
             else:
-                u, v = u_next, _relaxed(v, v_next, w)
-                # Column j of the plan sums to b_j v_j / v'_j, with v' the
-                # plain v-update; a plain sweep leaves this 0.
-                col_violation = float(b_w * np.sum(np.abs(1.0 - v / v_next)))
+                if w != 1.0:
+                    # Column j of the plan sums to b_j v_j / v'_j, with v' the
+                    # plain v-update; a plain sweep leaves this 0.
+                    col_violation = float(b_w * np.sum(np.abs(1.0 - v_new / v_next)))
+                u, v = u_next, v_new
             it += 1
             f_next = None
             u_next = _scaling(a_w, work @ v)
@@ -438,15 +461,15 @@ def sinkhorn_w(
             if not final:
                 continue
             # After 10 plain sweeps, w is set from their rate; every 10
-            # relaxed sweeps it is raised to what their rate implies, unless
-            # the violation passed 10 times its value at switch-on, which
-            # turns relaxation off for the rest of the run.
+            # sweeps after that it is raised to what their rate implies,
+            # unless the violation passed 10 times its value at the 10th
+            # sweep, which turns relaxation off for the rest of the run.
             k = len(history)
             if k == 10:
-                w, w_on = _best_w(_rate(history)), violation
-            elif w_on is not None and violation > 10.0 * w_on:
-                w, w_on = 1.0, None
-            elif w_on is not None and k % 10 == 0:
+                w, base = _best_w(_rate(history)), violation
+            elif base is not None and violation > 10.0 * base:
+                w, base = 1.0, None
+            elif base is not None and k % 10 == 0:
                 # A relaxed sweep's rate r is 1 - w (1 - plain rate).
                 w = max(w, _best_w(1.0 - (1.0 - _rate(history)) / w))
         f, g = f + e * np.log(u), g + e * np.log(v)

@@ -526,15 +526,15 @@ def reference_sinkhorn(x, y, eps=0.1, max_iters=5000, tol=1e-6, warm_start=True,
                        plain=False):
     """sinkhorn_w's schedule as a log-domain loop, with a full plan after every
     sweep for the stop test. A warm-start stage ends after 10 sweeps, or once
-    its plan's violation is below 1e-2. The final stage runs 10 plain sweeps,
+    its plan's violation is below 5e-3. The final stage runs 10 plain sweeps,
     then over-relaxes, f <- (1 - w) f + w f' and the same for g: w is set
-    from the plain sweeps' rate rho as 2 / (1 + sqrt(1 - rho)), at most 1.9,
-    and every 10 relaxed sweeps raised to what their rate r implies for the
-    plain one, rho = 1 - (1 - r) / w; relaxation stops for good once the
-    violation passes 10 times its value at switch-on. ``plain`` gives the
-    schedule of 0.1.21 instead: every warm-start stage runs its 10 sweeps,
-    and no sweep is relaxed. Returns (value, n_iters, marginal_violation,
-    w)."""
+    from the plain sweeps' rate rho as 2 / (1 + sqrt(1 - rho)), at most 1.9
+    and 1 for rho >= 0.9999, and every 10 sweeps raised to what their rate r
+    implies for the plain one, rho = 1 - (1 - r) / w; relaxation stops for
+    good once the violation passes 10 times its value at the 10th sweep.
+    ``plain`` gives the schedule of 0.1.21 instead: every warm-start stage
+    runs its 10 sweeps, and no sweep is relaxed. Returns (value, n_iters,
+    marginal_violation, w)."""
     n, m = len(x), len(y)
     a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
     log_a, log_b = np.log(a), np.log(b)
@@ -564,7 +564,7 @@ def reference_sinkhorn(x, y, eps=0.1, max_iters=5000, tol=1e-6, warm_start=True,
         return (history[-1] / history[-6]) ** 0.2
 
     def best_w(rho):
-        return min(1.9, 2.0 / (1.0 + math.sqrt(1.0 - rho))) if 0.0 <= rho < 1.0 else 1.0
+        return min(1.9, 2.0 / (1.0 + math.sqrt(1.0 - rho))) if 0.0 <= rho < 0.9999 else 1.0
 
     f, g, it = np.zeros(n), np.zeros(m), 0
     cost_scale = float(np.max(cost))
@@ -574,10 +574,10 @@ def reference_sinkhorn(x, y, eps=0.1, max_iters=5000, tol=1e-6, warm_start=True,
             for _ in range(10):
                 f, g = sweep(f, g, e, 1.0)
                 it += 1
-                if not plain and violation_of(f, g, e)[1] < 1e-2:
+                if not plain and violation_of(f, g, e)[1] < 5e-3:
                     break
             e = max(eps, e / 2)
-    violation, w, w_on, history = np.inf, 1.0, None, []
+    violation, w, base, history = np.inf, 1.0, None, []
     while it < max_iters:
         f, g = sweep(f, g, eps, w)
         it += 1
@@ -588,10 +588,10 @@ def reference_sinkhorn(x, y, eps=0.1, max_iters=5000, tol=1e-6, warm_start=True,
         if plain:
             continue
         if len(history) == 10:
-            w, w_on = best_w(rate_of(history)), violation
-        elif w_on is not None and violation > 10.0 * w_on:
-            w, w_on = 1.0, None
-        elif w_on is not None and len(history) % 10 == 0:
+            w, base = best_w(rate_of(history)), violation
+        elif base is not None and violation > 10.0 * base:
+            w, base = 1.0, None
+        elif base is not None and len(history) % 10 == 0:
             w = max(w, best_w(1.0 - (1.0 - rate_of(history)) / w))
     plan, _ = violation_of(f, g, eps)
     return float(np.sum(plan * cost)), it, violation, w
@@ -620,11 +620,11 @@ def test_sinkhorn_matches_reference_sweep_loop(n, m, d, eps, warm_start):
 
 
 def sinkhorn_fallbacks(monkeypatch):
-    """Spy on the kernel path: the smallest entry of every mat-vec that sent a
-    sweep back to the log domain."""
+    """Spy on the kernel path: the smallest entry of every mat-vec, or of every
+    plain scaling being relaxed, that sent a sweep back to the log domain."""
     import bridgekit.metrics as metrics
 
-    real_scaling = metrics._scaling
+    real_scaling, real_relaxed = metrics._scaling, metrics._relaxed
     seen = []
 
     def spy(weight, kv):
@@ -633,7 +633,14 @@ def sinkhorn_fallbacks(monkeypatch):
             seen.append(float(kv.min()))
         return scaling
 
+    def relaxed_spy(old, plain, w):
+        scaling = real_relaxed(old, plain, w)
+        if scaling is None:
+            seen.append(float(plain.min()))
+        return scaling
+
     monkeypatch.setattr(metrics, "_scaling", spy)
+    monkeypatch.setattr(metrics, "_relaxed", relaxed_spy)
     return seen
 
 
@@ -658,14 +665,9 @@ def test_sinkhorn_kernel_sweeps_match_log_domain_loop(eps, warm_start, monkeypat
     value, n_iters, _, w = reference_sinkhorn(x, y, eps=eps, warm_start=warm_start,
                                               max_iters=20_000)
     assert result.converged
-    # Only eps 1e-3 without annealing sends scalings out of their range.
+    # Only eps 1e-3 without annealing sends scalings out of their range; its
+    # log-domain sweeps are relaxed like the reference's.
     assert bool(fallbacks) == (eps == 1e-3 and not warm_start)
-    if fallbacks:
-        # Those sweeps run plain in the log domain, and so does a relaxed
-        # sweep whose scaling would leave the range; the reference relaxes
-        # every sweep, so the two take different paths to the same plan.
-        assert result.value == pytest.approx(value, abs=stop_tolerance(x, y))
-        return
     assert abs(result.n_iters - n_iters) <= 1
     assert result.value == pytest.approx(value, rel=1e-12)
     assert result.relaxation == pytest.approx(w, rel=1e-9)
@@ -673,7 +675,8 @@ def test_sinkhorn_kernel_sweeps_match_log_domain_loop(eps, warm_start, monkeypat
 
 def test_sinkhorn_scaling_out_of_range_is_absorbed(monkeypatch):
     # Without annealing at eps 1e-3 the potentials drift by more than
-    # 230 eps within the stage, so u or v would pass 1e100.
+    # 230 eps within the stage, so u or v would pass 1e100; here relaxed
+    # scalings do too, and those sweeps run relaxed in the log domain.
     fallbacks = sinkhorn_fallbacks(monkeypatch)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(5, 2))
@@ -682,15 +685,12 @@ def test_sinkhorn_scaling_out_of_range_is_absorbed(monkeypatch):
         warnings.simplefilter("error")
         result = sinkhorn_w(x, y, eps=1e-3, warm_start=False, max_iters=20_000)
     assert fallbacks and min(fallbacks) > 0.0
-    # Out-of-range sweeps run plain, which the log-domain reference does not
-    # model, so the run is held to the stop tolerance of both loops' values.
+    value, n_iters, _, w = reference_sinkhorn(x, y, eps=1e-3, warm_start=False,
+                                              max_iters=20_000)
     assert result.converged
-    value, _, _, _ = reference_sinkhorn(x, y, eps=1e-3, warm_start=False, max_iters=20_000)
-    assert result.value == pytest.approx(value, abs=stop_tolerance(x, y))
-    value, n_iters, _, _ = reference_sinkhorn(x, y, eps=1e-3, warm_start=False,
-                                              max_iters=20_000, plain=True)
-    assert result.value == pytest.approx(value, abs=stop_tolerance(x, y))
-    assert result.n_iters < n_iters  # 2,438 against the plain loop's 3,339
+    assert abs(result.n_iters - n_iters) <= 1
+    assert result.value == pytest.approx(value, rel=1e-12)
+    assert result.relaxation == pytest.approx(w, rel=1e-9) and w > 1.0
 
 
 def test_sinkhorn_out_of_range_input_counts_its_log_sweeps():
@@ -852,6 +852,26 @@ def test_sinkhorn_relaxed_run_lands_on_the_plain_loops_value(clouds, eps, warm_s
     assert np.abs(plan.sum(axis=1) - 1.0 / len(x)).sum() < 1e-6
     assert np.abs(plan.sum(axis=0) - 1.0 / len(y)).sum() < 1e-6
     assert result.value == pytest.approx(value, abs=stop_tolerance(x, y))
+
+
+@pytest.mark.parametrize("m, rng_seed, shift, eps, plain_iters", [
+    (3, 26, 0.19832375186753193, 0.19832375186753193, 61),
+    (36, 2797871, 0.0, 0.02, 360),
+])
+def test_sinkhorn_converges_where_the_plain_schedule_did(m, rng_seed, shift, eps, plain_iters):
+    # Draws of the property test's strategy, under other seeds, that the
+    # plain schedule of 0.1.21 finishes in 61 and 360 sweeps. Each has a
+    # mode in which the violation falls by a factor of 0.9999 a sweep or
+    # slower, near 1e-6, so whether a run converges depends on what the warm
+    # start leaves in that mode. With stages ending at a violation of 1e-2,
+    # both runs stopped unconverged after 5000 sweeps (violations 8.8e-6 and
+    # 7.0e-6).
+    rng = np.random.default_rng(rng_seed)
+    x, y = rng.normal(size=(3, 3)), 0.8 * rng.normal(size=(m, 3)) + shift
+    _, n_iters, violation, _ = reference_sinkhorn(x, y, eps=eps, plain=True)
+    assert violation < 1e-6 and n_iters == plain_iters
+    result = sinkhorn_w(x, y, eps=eps)
+    assert result.converged and result.n_iters <= plain_iters
 
 
 # eps 8 is above a quarter of the largest cost (5.87), so the warm start has
