@@ -210,7 +210,10 @@ def cmd_train(args) -> tuple[str | None, dict]:
     write_loss_trace(parts["loss_trace.csv"], result.trace)
     _end_phase(args, "write")
     return (f"trained {config.n_iters} iterations; model at {out_dir / 'model.bkt'}",
-            {"config": config.to_dict(), "seed": config.seed})
+            {"config": config.to_dict(), "seed": config.seed,
+             "training_workers": result.workers,
+             "correction_wait_seconds": result.wait_seconds,
+             "correction_peak_rss_mb": result.correction_peak_rss_mb})
 
 
 def _side(spec: str) -> tuple[str, str | None]:

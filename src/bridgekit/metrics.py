@@ -283,11 +283,11 @@ def _scaling(weight: float, kv: np.ndarray):
 
 def _relaxed(old: np.ndarray, plain: np.ndarray, w: float):
     """``old * (plain / old)^w``, in the log domain f <- (1 - w) f + w f'; or
-    None when a scaling would leave [1e-100, 1e100]."""
+    None when a scaling would leave [1e-100, 1e100]. An overflow to inf is
+    out of range, so the caller runs this with overflow warnings off."""
     step = np.log(plain / old)
     step *= w
-    with np.errstate(over="ignore"):  # an overflow to inf is out of range
-        np.exp(step, out=step)
+    np.exp(step, out=step)
     step *= old
     if not (_SCALING_MIN <= step.min() and step.max() <= _SCALING_MAX):
         return None
@@ -399,80 +399,82 @@ def sinkhorn_w(
     # The final stage's relaxation, and its violation at its 10th sweep; None
     # once relaxation is off for good.
     w, base = 1.0, None
-    for e in stages:
-        u, v = np.ones(n), np.ones(m)
-        final = e == eps
-        stop = max_iters if final else min(it + 10, max_iters)
-        history = []  # the stage's violations, one per sweep
-        # a / (K v) for the next sweep; None: a log-domain sweep
-        u_next = _scaling(a_w, plan_of(f, g, e).sum(axis=1)) if len(stages) > 1 else None
-        f_next = None  # the next f-update, when the log-domain stop test made it
-        while it < stop:
-            # u and v for this sweep; None: a log-domain sweep
-            v_new = None
-            if w != 1.0 and u_next is not None:
-                u_next = _relaxed(u, u_next, w)
-            if u_next is not None:
-                v_next = _scaling(b_w, work.T @ u_next)
-                v_new = v_next if w == 1.0 or v_next is None else _relaxed(v, v_next, w)
-            col_violation = 0.0
-            if v_new is None:
-                log_sweeps += 1
-                f_plain = f_update(g + e * np.log(v), e) if f_next is None else f_next
-                if w == 1.0:
-                    f = f_plain
-                    g = half_sweep((f / e + log_a)[:, None], 0, e)
+    # Opened once, not per sweep: _relaxed overflows to inf on purpose.
+    with np.errstate(over="ignore"):
+        for e in stages:
+            u, v = np.ones(n), np.ones(m)
+            final = e == eps
+            stop = max_iters if final else min(it + 10, max_iters)
+            history = []  # the stage's violations, one per sweep
+            # a / (K v) for the next sweep; None: a log-domain sweep
+            u_next = _scaling(a_w, plan_of(f, g, e).sum(axis=1)) if len(stages) > 1 else None
+            f_next = None  # the next f-update, when the log-domain stop test made it
+            while it < stop:
+                # u and v for this sweep; None: a log-domain sweep
+                v_new = None
+                if w != 1.0 and u_next is not None:
+                    u_next = _relaxed(u, u_next, w)
+                if u_next is not None:
+                    v_next = _scaling(b_w, work.T @ u_next)
+                    v_new = v_next if w == 1.0 or v_next is None else _relaxed(v, v_next, w)
+                col_violation = 0.0
+                if v_new is None:
+                    log_sweeps += 1
+                    f_plain = f_update(g + e * np.log(v), e) if f_next is None else f_next
+                    if w == 1.0:
+                        f = f_plain
+                        g = half_sweep((f / e + log_a)[:, None], 0, e)
+                    else:
+                        f = (1.0 - w) * (f + e * np.log(u)) + w * f_plain
+                        g_plain = half_sweep((f / e + log_a)[:, None], 0, e)
+                        g = (1.0 - w) * (g + e * np.log(v)) + w * g_plain
+                        # Column j of the plan sums to b_j exp((g_j - g'_j) / e),
+                        # with g' the plain g-update; clamped like the rows' test.
+                        col_excess = np.minimum((g - g_plain) / e, 50.0)
+                        col_violation = float(b_w * np.sum(np.abs(1.0 - np.exp(col_excess))))
+                    plan_of(f, g, e)
+                    u, v = np.ones(n), np.ones(m)
                 else:
-                    f = (1.0 - w) * (f + e * np.log(u)) + w * f_plain
-                    g_plain = half_sweep((f / e + log_a)[:, None], 0, e)
-                    g = (1.0 - w) * (g + e * np.log(v)) + w * g_plain
-                    # Column j of the plan sums to b_j exp((g_j - g'_j) / e),
-                    # with g' the plain g-update; clamped like the rows' test.
-                    col_excess = np.minimum((g - g_plain) / e, 50.0)
-                    col_violation = float(b_w * np.sum(np.abs(1.0 - np.exp(col_excess))))
-                plan_of(f, g, e)
-                u, v = np.ones(n), np.ones(m)
-            else:
-                if w != 1.0:
-                    # Column j of the plan sums to b_j v_j / v'_j, with v' the
-                    # plain v-update; a plain sweep leaves this 0.
-                    col_violation = float(b_w * np.sum(np.abs(1.0 - v_new / v_next)))
-                u, v = u_next, v_new
-            it += 1
-            f_next = None
-            u_next = _scaling(a_w, work @ v)
-            # Row i of the plan sums to u_i (K v)_i = a_i u_i / u'_i, with u'
-            # the next u-update.
-            if u_next is not None:
-                violation = float(a_w * np.sum(np.abs(1.0 - u / u_next)))
-            else:
-                # The same test in the log domain: row i sums to
-                # a_i exp((f_i - f'_i) / e). Rounding in f / e can push that
-                # exponent far past log n when e is tiny, so it is clamped
-                # like the plan's.
-                f_next = f_update(g + e * np.log(v), e)
-                row_excess = np.minimum((f + e * np.log(u) - f_next) / e, 50.0)
-                violation = float(a_w * np.sum(np.abs(1.0 - np.exp(row_excess))))
-            violation = max(violation, col_violation)
-            history.append(violation)
-            if violation < (tol if final else _STAGE_TOL):
-                converged = final
-                break
-            if not final:
-                continue
-            # After 10 plain sweeps, w is set from their rate; every 10
-            # sweeps after that it is raised to what their rate implies,
-            # unless the violation passed 10 times its value at the 10th
-            # sweep, which turns relaxation off for the rest of the run.
-            k = len(history)
-            if k == 10:
-                w, base = _best_w(_rate(history)), violation
-            elif base is not None and violation > 10.0 * base:
-                w, base = 1.0, None
-            elif base is not None and k % 10 == 0:
-                # A relaxed sweep's rate r is 1 - w (1 - plain rate).
-                w = max(w, _best_w(1.0 - (1.0 - _rate(history)) / w))
-        f, g = f + e * np.log(u), g + e * np.log(v)
+                    if w != 1.0:
+                        # Column j of the plan sums to b_j v_j / v'_j, with v' the
+                        # plain v-update; a plain sweep leaves this 0.
+                        col_violation = float(b_w * np.sum(np.abs(1.0 - v_new / v_next)))
+                    u, v = u_next, v_new
+                it += 1
+                f_next = None
+                u_next = _scaling(a_w, work @ v)
+                # Row i of the plan sums to u_i (K v)_i = a_i u_i / u'_i, with u'
+                # the next u-update.
+                if u_next is not None:
+                    violation = float(a_w * np.sum(np.abs(1.0 - u / u_next)))
+                else:
+                    # The same test in the log domain: row i sums to
+                    # a_i exp((f_i - f'_i) / e). Rounding in f / e can push that
+                    # exponent far past log n when e is tiny, so it is clamped
+                    # like the plan's.
+                    f_next = f_update(g + e * np.log(v), e)
+                    row_excess = np.minimum((f + e * np.log(u) - f_next) / e, 50.0)
+                    violation = float(a_w * np.sum(np.abs(1.0 - np.exp(row_excess))))
+                violation = max(violation, col_violation)
+                history.append(violation)
+                if violation < (tol if final else _STAGE_TOL):
+                    converged = final
+                    break
+                if not final:
+                    continue
+                # After 10 plain sweeps, w is set from their rate; every 10
+                # sweeps after that it is raised to what their rate implies,
+                # unless the violation passed 10 times its value at the 10th
+                # sweep, which turns relaxation off for the rest of the run.
+                k = len(history)
+                if k == 10:
+                    w, base = _best_w(_rate(history)), violation
+                elif base is not None and violation > 10.0 * base:
+                    w, base = 1.0, None
+                elif base is not None and k % 10 == 0:
+                    # A relaxed sweep's rate r is 1 - w (1 - plain rate).
+                    w = max(w, _best_w(1.0 - (1.0 - _rate(history)) / w))
+            f, g = f + e * np.log(u), g + e * np.log(v)
     plan = plan_of(f, g, eps)
     # An unresolved eps reports the returned plan's own violation, not converged.
     if unresolved:

@@ -54,6 +54,7 @@ from .errors import NumericsError
 X_ENC_LAYERS = 3
 T_ENC_LAYERS = 2
 HEAD_LAYERS = 3
+ACTIVATED_LAYERS = X_ENC_LAYERS + T_ENC_LAYERS + HEAD_LAYERS - 1  # each with a dropout mask
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +208,12 @@ def layer_table(spec: MlpSpec) -> list[tuple[str, tuple[int, ...]]]:
             for part, shape in (("W", (n_out, n_in)), ("b", (n_out,)))]
 
 
+def dropout_draws(spec: MlpSpec, rows: int) -> int:
+    """Random doubles that a train-mode pass of ``rows`` rows draws for its
+    dropout masks, each one 64-bit step of the generator: 0 without dropout."""
+    return ACTIVATED_LAYERS * rows * spec.hidden_dim if spec.dropout_rate > 0.0 else 0
+
+
 # ---------------------------------------------------------------------------
 # Time features
 # ---------------------------------------------------------------------------
@@ -355,7 +362,10 @@ class _TimeConditionedNet:
 
     # -- forward / backward -------------------------------------------------
 
-    def _prepare(self, t, x, extra):
+    def inputs(self, t, x, extra=None):
+        """``(t, net_in)`` after checking the shapes: ``t`` as an array, and
+        the state with the drift value ``extra`` beside it for a network that
+        takes one."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise ValueError("x must be a 2-D batch of states")
@@ -391,7 +401,7 @@ class _TimeConditionedNet:
         """
         if train and self.spec.dropout_rate > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
-        t, net_in = self._prepare(t, x, extra)
+        t, net_in = self.inputs(t, x, extra)
         if not (train or keep_cache):
             out = self._infer(t, net_in)
             if np.isfinite(out).all():
@@ -400,26 +410,39 @@ class _TimeConditionedNet:
                 out, cache = self.forward(t, x, extra)
             self.check_finite(cache, out)
             raise NumericsError("non-finite network output")
-        n, rate = net_in.shape[0], self.spec.dropout_rate
+        return self.time_pass(t, net_in.shape[0], train, rng, emb)(net_in)
+
+    def time_pass(self, t, rows, train=False, rng=None, emb=None):
+        """The part of a cached pass that does not read the state: the
+        dropout masks and the time branch for ``rows`` rows at ``t``. Returns
+        ``finish(net_in)``, which runs the state branch and the head on the
+        network input (see ``inputs``) and returns (output, cache) as
+        ``forward`` does. Training's correction process runs this part while
+        the drift value that its input needs is still being computed."""
+        rate = self.spec.dropout_rate
         if emb is None:
-            emb = time_embed(np.broadcast_to(t, (n,)), self.spec.time_embed_dim)
+            emb = time_embed(np.broadcast_to(t, (rows,)), self.spec.time_embed_dim)
         mx = mt = mh = None
         if train and rate > 0.0:
             # One draw for the masks of every activated layer: the same stream
             # as one draw per layer in forward order.
-            masks = rng.random((X_ENC_LAYERS + T_ENC_LAYERS + HEAD_LAYERS - 1, n,
-                                self.spec.hidden_dim))
+            masks = rng.random((ACTIVATED_LAYERS, rows, self.spec.hidden_dim))
             np.greater_equal(masks, rate, out=masks)
             masks *= 1.0 / (1.0 - rate)  # keep / (1 - rate), bit for bit
             head_from = X_ENC_LAYERS + T_ENC_LAYERS
             mx, mt, mh = masks[:X_ENC_LAYERS], masks[X_ENC_LAYERS:head_from], masks[head_from:]
-        scratch = self._buffers(n)
-        cx, ct, ch = [], [], []
-        hx = self.x_enc.forward(net_in, scratch, cache=cx, masks=mx)
+        scratch = self._buffers(rows)
+        ct = []
         ht = self.t_enc.forward(emb, scratch, cache=ct, masks=mt)
-        joint = np.concatenate([hx, ht], axis=1)
-        out = self.head.forward(joint, scratch, cache=ch, masks=mh)
-        return out, (cx, ct, ch)
+
+        def finish(net_in):
+            cx, ch = [], []
+            hx = self.x_enc.forward(net_in, scratch, cache=cx, masks=mx)
+            joint = np.concatenate([hx, ht], axis=1)
+            out = self.head.forward(joint, scratch, cache=ch, masks=mh)
+            return out, (cx, ct, ch)
+
+        return finish
 
     def check_finite(self, cache, out) -> None:
         """Raises NumericsError naming the first layer, in the order x_enc,

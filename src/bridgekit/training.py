@@ -12,16 +12,22 @@ inference.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import time
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Optional, get_type_hints
 
 import numpy as np
 
+from . import _workers
 from .csvio import write_csv
 from .datasets import AlignedDataset
-from .errors import ConfigError, DataError, NumericsError
-from .nets import DoobNet, DriftNet, MlpSpec, make_doob_spec, make_drift_spec, time_embed
+from .errors import BridgekitError, ConfigError, DataError, NumericsError
+from .nets import (DoobNet, DriftNet, MlpSpec, dropout_draws, make_doob_spec, make_drift_spec,
+                   time_embed)
 from .optim import AdamW, EmaTracker
 from .sde import SINGULARITY_GUARD, DiffusivitySchedule, bridge_drift_target, bridge_marginal_sample
 from .serialize import KIND_PAIR, LoadedModel, load_model, save_model
@@ -234,9 +240,10 @@ def loss_batch(
 
     d_b = -2.0 * resid / n
     d_m = (-2.0 * resid + 2.0 * lam[:, None] * m_out) / n
-    grads_drift = drift.backward(b_cache, d_b)
+    # The correction net's first: training's forked process (``_Forked``)
+    # takes its cotangent here and steps while the drift net's runs.
     grads_doob = doob.backward(m_cache, d_m)
-    return breakdown, grads_drift, grads_doob
+    return breakdown, drift.backward(b_cache, d_b), grads_doob
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +257,276 @@ class TrainResult:
     doob: DoobNet  # EMA parameters
     trace: list[LossBreakdown]
     config: TrainConfig
+    workers: int = 1  # 2 when the correction net stepped in a process of its own
+    wait_seconds: float = 0.0  # the drift side's time waiting for that process
+    correction_peak_rss_mb: Optional[float] = None  # that process's peak RSS
+
+
+class _InProcess:
+    """The correction net's AdamW and EMA steps, on the calling thread."""
+
+    workers = 1
+    wait_seconds = 0.0
+    peak_rss_mb = None
+
+    def __init__(self, doob: DoobNet, config: TrainConfig):
+        self.net = doob
+        self._opt = AdamW(doob.theta, lr=config.lr_doob)
+        self._ema = EmaTracker(doob.theta, decay=config.ema_decay)
+
+    def start(self) -> None:
+        pass
+
+    def step(self, grads: np.ndarray) -> None:
+        self._opt.step(self.net.theta, grads)
+        self._ema.update(self.net.theta)
+
+    def ema(self) -> np.ndarray:
+        return self._ema.shadow
+
+    def close(self) -> None:
+        pass
+
+
+# How long a side of the forked loop spins on the other's counter before it
+# sleeps, and its first and longest sleep. Awake, the other side answers
+# within microseconds; one that has to be woken from a blocking read took
+# far longer, and so did a loop that gave up its core at every turn. On the
+# moon setting with one BLAS thread an iteration took 1.84-1.86 ms with this
+# bound, 2.17-2.35 ms with none (sleeping at once), against 2.67 in process.
+_SPIN_S = 2e-3
+_NAP_S = 5e-5
+_NAP_MAX_S = 1e-3
+
+# Control words of the shared page: the parent's post count and what it
+# posted, then, a cache line on, the child's post count and the length of
+# its reply.
+_PARENT, _KIND, _CHILD, _REPLY = 0, 1, 8, 9
+_B_OUT, _D_M, _CHECK = 1, 2, 3  # what the parent posts
+
+
+def _await(ctl, word: int, count: int, alive: Callable[[], bool]) -> bool:
+    """Waits until ``ctl[word]`` reaches ``count``: spinning for at most
+    ``_SPIN_S``, then sleeping in steps that double up to ``_NAP_MAX_S``
+    while ``alive()``. False when the other side is gone without posting."""
+    if ctl[word] >= count:
+        return True
+    end = time.perf_counter() + _SPIN_S
+    while ctl[word] < count:
+        if time.perf_counter() > end:
+            break
+    else:
+        return True
+    nap = _NAP_S
+    while ctl[word] < count:
+        if not alive():
+            return ctl[word] >= count
+        time.sleep(nap)
+        nap = min(2.0 * nap, _NAP_MAX_S)
+    return True
+
+
+class _Forked:
+    """The correction net in a forked child process, and its stand-in for
+    ``loss_batch`` in the parent.
+
+    The child holds the correction net's theta, AdamW and EMA. It draws the
+    same batches as the parent from its own copy of the batch generator, and
+    its dropout masks from its own copy of the dropout generator, skipping
+    the drift net's draws as the parent skips its own; so it runs its mask
+    draw and time branch before the drift value arrives. Per iteration the
+    parent posts the drift output (when the correction net takes it), the
+    child posts the correction output, and the parent posts the correction
+    net's output cotangent; both sides then step their own net. Data and
+    counters share one anonymous shared mapping; x86-64 keeps stores in
+    order, so data written before a counter is seen with it. At the end the
+    child posts its EMA vector and exits through ``os._exit``.
+    """
+
+    workers = 2
+
+    def __init__(self, doob: DoobNet, drift_spec: MlpSpec, dataset: AlignedDataset,
+                 config: TrainConfig, batches: np.random.Generator,
+                 dropout: np.random.Generator):
+        import mmap
+
+        self.spec = doob.spec
+        self.wait_seconds = 0.0
+        self.peak_rss_mb = None
+        self._pid = None
+        self._posted = self._seen = 0
+        rows = config.batch_size * config.times_per_pair
+        # b_out, d_m, m_out and the EMA vector, each from a cache line of its own
+        sizes = (rows * doob.spec.output_dim,) * 3 + (doob.theta.size,)
+        starts = list(accumulate((-(-size // 8) * 8 for size in sizes), initial=0))
+        self._map = mmap.mmap(-1, 128 + 8 * starts[-1] + 256)
+        self._ctl = memoryview(self._map)[:128].cast("q")
+        floats = np.frombuffer(self._map, np.float64, count=starts[-1], offset=128)
+        self._b_out, self._d_m, self._m_out, self._shadow = (
+            floats[start:start + size] for start, size in zip(starts, sizes))
+        self._reply = memoryview(self._map)[128 + 8 * starts[-1]:]
+        self._child_args = (doob, drift_spec, dataset, config, batches, dropout)
+
+    # -- the parent ---------------------------------------------------------
+
+    @property
+    def net(self) -> "_Forked":
+        """What ``loss_batch`` calls as the correction net. A property, so
+        that no reference cycle keeps the shared memory mapped after
+        training."""
+        return self
+
+    def start(self) -> None:
+        import signal
+
+        parent = os.getpid()
+        # SIGINT is the parent's to handle; the child keeps it blocked.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # The parent reports what went wrong; the child prints nothing.
+                quiet = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(quiet, 1)
+                os.dup2(quiet, 2)
+                self._serve(parent, *self._child_args)
+                code = 0
+            finally:
+                os._exit(code)
+        self._pid = pid
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def _reap(self, flags: int) -> bool:
+        """Reaps the child if it has ended (with ``flags`` 0, once it has):
+        its exit status and peak RSS are kept. False while it runs."""
+        pid, status, usage = os.wait4(self._pid, flags)
+        if pid:
+            self._pid = None
+            self._exit_status = status
+            self.peak_rss_mb = usage.ru_maxrss / 2**10
+        return bool(pid)
+
+    def _alive(self) -> bool:
+        return not self._reap(os.WNOHANG)
+
+    def _post(self, kind: int) -> None:
+        self._ctl[_KIND] = kind
+        self._posted += 1
+        self._ctl[_PARENT] = self._posted
+
+    def _wait(self) -> None:
+        self._seen += 1
+        started = time.perf_counter()
+        done = _await(self._ctl, _CHILD, self._seen, self._alive)
+        self.wait_seconds += time.perf_counter() - started
+        if not done:
+            code = os.waitstatus_to_exitcode(self._exit_status)
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise BridgekitError(f"the correction network's process ended with {how}")
+
+    def forward(self, t, x, extra=None, train=False, rng=None, emb=None):
+        if extra is not None:
+            self._b_out[...] = extra.ravel()
+            self._post(_B_OUT)
+        draws = dropout_draws(self.spec, len(x)) if train else 0
+        if draws:  # the child draws the correction net's masks
+            rng.bit_generator.advance(draws)
+        self._wait()
+        return self._m_out.reshape(len(x), -1).copy(), None
+
+    def check_finite(self, cache, out) -> None:
+        self._post(_CHECK)
+        self._wait()
+        size = self._ctl[_REPLY]
+        if size:
+            raise NumericsError(bytes(self._reply[:size]).decode())
+
+    def backward(self, cache, grad_out) -> None:
+        self._d_m[...] = grad_out.ravel()
+        self._post(_D_M)
+
+    def step(self, grads) -> None:
+        pass  # the child steps the correction net
+
+    def ema(self) -> np.ndarray:
+        self._wait()
+        shadow = self._shadow.copy()
+        if self._pid is not None:
+            self._reap(0)
+        return shadow
+
+    def close(self) -> None:
+        """Kills and reaps the child if it is still there."""
+        if self._pid is not None:
+            import signal
+
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+    # -- the child ----------------------------------------------------------
+
+    def _serve(self, parent: int, doob: DoobNet, drift_spec: MlpSpec,
+               dataset: AlignedDataset, config: TrainConfig, batches: np.random.Generator,
+               dropout: np.random.Generator) -> None:
+        ctl = self._ctl
+        opt = AdamW(doob.theta, lr=config.lr_doob)
+        ema = EmaTracker(doob.theta, decay=config.ema_decay)
+        seen = posted = 0
+
+        def request() -> int:
+            nonlocal seen
+            seen += 1
+            if not _await(ctl, _PARENT, seen, lambda: os.getppid() == parent):
+                raise BridgekitError("the training process is gone")
+            return ctl[_KIND]
+
+        def post() -> None:
+            nonlocal posted
+            posted += 1
+            ctl[_CHILD] = posted
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(config.n_iters):
+                batch = sample_training_batch(dataset, config, batches)
+                n = len(batch)
+                dropout.bit_generator.advance(dropout_draws(drift_spec, n))
+                finish = doob.time_pass(batch.t, n, train=True, rng=dropout)
+                b_out = None
+                if doob.spec.uses_drift_input:
+                    request()  # the drift output
+                    b_out = self._b_out.reshape(n, -1)
+                m_out, cache = finish(doob.inputs(batch.t, batch.x_t, b_out)[1])
+                self._m_out[...] = m_out.ravel()
+                post()
+                # The parent may have posted the next drift output over a
+                # _D_M by now; anything but _CHECK means "step".
+                while request() == _CHECK:
+                    message = b""
+                    try:
+                        doob.check_finite(cache, m_out)
+                    except NumericsError as exc:
+                        message = str(exc).encode()[:len(self._reply)]
+                    self._reply[:len(message)] = message
+                    ctl[_REPLY] = len(message)
+                    post()
+                opt.step(doob.theta, doob.backward(cache, self._d_m.reshape(n, -1).copy()))
+                ema.update(doob.theta)
+        self._shadow[...] = ema.shadow
+        post()
+
+
+def _correction_workers() -> int:
+    """2 when the correction net steps in a process of its own: where the
+    BLAS cap leaves two cores for training's two nets (``_workers.workers``)
+    and the platform is x86-64 Linux, whose ``fork`` and store order the
+    hand-off relies on; 1 otherwise. Threads cannot do it: every numpy call
+    on a batch of 64 rows hands the GIL over, and a second thread was
+    measured slower than one."""
+    if not sys.platform.startswith("linux") or os.uname().machine != "x86_64":
+        return 1
+    return _workers.workers(2)
 
 
 def train(
@@ -261,10 +538,13 @@ def train(
 ) -> TrainResult:
     """Run the full regression loop; deterministic given config.seed.
 
-    Per iteration: draw a batch, evaluate loss and both gradients once, update
-    the correction parameters with lr_doob, then the drift parameters with
-    lr_drift, then fold both into their EMAs. A non-finite loss raises
-    NumericsError, naming the first non-finite layer output if there is one.
+    Per iteration: draw a batch, evaluate loss and both gradients once, then
+    update each net's parameters (the correction net's with lr_doob, the
+    drift net's with lr_drift) and fold them into their EMAs. A non-finite
+    loss raises NumericsError, naming the first non-finite layer output if
+    there is one. Where ``_correction_workers`` gives 2, the correction net
+    steps in a forked process (``_Forked``), with the same bits; the
+    process is killed and reaped when the loop raises.
     """
     d = dataset.d
     if drift_spec is None:
@@ -281,37 +561,43 @@ def train(
     init_d, init_m, batches, dropout = [np.random.default_rng(s) for s in ss.spawn(4)]
     drift = DriftNet(drift_spec, rng=init_d)
     doob = DoobNet(doob_spec, rng=init_m)
-
     opt_d = AdamW(drift.theta, lr=config.lr_drift)
-    opt_m = AdamW(doob.theta, lr=config.lr_doob)
     ema_d = EmaTracker(drift.theta, decay=config.ema_decay)
-    ema_m = EmaTracker(doob.theta, decay=config.ema_decay)
+    if _correction_workers() == 2:
+        correction = _Forked(doob, drift_spec, dataset, config, batches, dropout)
+    else:
+        correction = _InProcess(doob, config)
 
     trace: list[LossBreakdown] = []
-    # A non-finite value surfaces as the NumericsError below, not as warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(config.n_iters):
-            batch = sample_training_batch(dataset, config, batches)
-            breakdown, grads_d, grads_m = loss_batch(
-                batch, drift, doob,
-                lambda_mode=config.lambda_mode,
-                lambda_value=config.lambda_value,
-                train_mode=True,
-                rng=dropout,
-            )
-            if not math.isfinite(breakdown.total):
-                raise NumericsError(f"non-finite loss at iteration {it}: {breakdown}")
-            opt_m.step(doob.theta, grads_m)
-            opt_d.step(drift.theta, grads_d)
-            ema_m.update(doob.theta)
-            ema_d.update(drift.theta)
-            trace.append(breakdown)
-            if progress is not None and (it + 1) % config.eval_every == 0:
-                progress(it + 1, breakdown)
+    try:
+        correction.start()
+        # A non-finite value surfaces as the NumericsError below, not as warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in range(config.n_iters):
+                batch = sample_training_batch(dataset, config, batches)
+                breakdown, grads_d, grads_m = loss_batch(
+                    batch, drift, correction.net,
+                    lambda_mode=config.lambda_mode,
+                    lambda_value=config.lambda_value,
+                    train_mode=True,
+                    rng=dropout,
+                )
+                if not math.isfinite(breakdown.total):
+                    raise NumericsError(f"non-finite loss at iteration {it}: {breakdown}")
+                correction.step(grads_m)
+                opt_d.step(drift.theta, grads_d)
+                ema_d.update(drift.theta)
+                trace.append(breakdown)
+                if progress is not None and (it + 1) % config.eval_every == 0:
+                    progress(it + 1, breakdown)
+        doob.theta[...] = correction.ema()
+    finally:
+        correction.close()
 
     drift.theta[...] = ema_d.shadow
-    doob.theta[...] = ema_m.shadow
-    return TrainResult(drift=drift, doob=doob, trace=trace, config=config)
+    return TrainResult(drift=drift, doob=doob, trace=trace, config=config,
+                       workers=correction.workers, wait_seconds=correction.wait_seconds,
+                       correction_peak_rss_mb=correction.peak_rss_mb)
 
 
 def write_loss_trace(path, trace: list[LossBreakdown]) -> None:

@@ -1,15 +1,59 @@
 """Session-scoped trained models shared between behavioral tests and the
 acceptance suite. Training is deterministic, so every test run sees identical
-models."""
+models. Every test must also reap every child process it starts."""
 
+import os
+import signal
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bridgekit as bk
 from bridgekit.nets import make_doob_spec, make_drift_spec
+
+
+def children_of(pid: int) -> list[int]:
+    """Process ids of the running children of ``pid``, read from /proc (empty
+    where there is none)."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # pid (comm) state ppid ...; comm may hold spaces and parentheses
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process behind, running or exited
+    unreaped; reaps it (killing a running one first) so the next test starts
+    clean."""
+    yield
+    leaked = []
+    while True:
+        try:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:  # no children at all
+            break
+        if pid == 0:  # children still running
+            running = children_of(os.getpid())
+            leaked += [f"{pid} was still running" for pid in running]
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if not running:
+                leaked.append("a child was still running")
+            break
+        leaked.append(f"{pid} had exited unreaped (status {status})")
+    assert not leaked, f"the test left child processes behind: {'; '.join(leaked)}"
+
 
 # Single-pair run: dataset {(0, 1)} in 1-D, g = 1, lambda = 1, K = 5000. The
 # remaining knobs are experiment configuration: capped training times, two

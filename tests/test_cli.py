@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import shutil
+import sys
 import tempfile
 import tracemalloc
 import types
@@ -305,6 +306,74 @@ def test_train_that_fails_leaves_no_out_directory(tmp_path):
     out = tmp_path / "m"
     assert run_cli("train", "--data", data, "--config", cfg, "--out", out) == 4
     assert not out.exists()
+
+
+needs_fork = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or os.uname().machine != "x86_64",
+    reason="the forked correction process runs on x86-64 Linux only")
+
+
+@needs_fork
+def test_train_manifest_records_how_training_ran(tmp_path, moon_csv, monkeypatch):
+    from bridgekit import _workers
+
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(tiny_config_text())
+    runs = {}
+    for workers in (1, 2):  # in process, then with the correction net forked
+        monkeypatch.setattr(_workers, "workers", lambda n_tasks, w=workers: min(n_tasks, w))
+        out = tmp_path / f"m{workers}"
+        assert run_cli("train", "--data", moon_csv, "--config", cfg, "--out", out) == 0
+        runs[workers] = (json.loads((out / "model.bkt.manifest.json").read_text()),
+                         sha(out / "model.bkt"), sha(out / "loss_trace.csv"))
+    (alone, *alone_outputs), (split, *split_outputs) = runs[1], runs[2]
+    assert split_outputs == alone_outputs
+    assert sorted(alone) == sorted(split) == [
+        "command", "config", "correction_peak_rss_mb", "correction_wait_seconds",
+        "duration_seconds", "environment", "input_hashes", "phase_seconds", "seed",
+        "tool_version", "training_workers"]
+    assert (alone["training_workers"], split["training_workers"]) == (1, 2)
+    assert alone["correction_wait_seconds"] == 0.0 < split["correction_wait_seconds"]
+    assert alone["correction_peak_rss_mb"] is None and split["correction_peak_rss_mb"] > 1.0
+    for key in ("command", "config", "seed", "input_hashes", "tool_version"):
+        assert split[key] == alone[key]
+    assert sorted(split["phase_seconds"]) == sorted(alone["phase_seconds"])
+    assert sorted(split["environment"]) == sorted(alone["environment"])
+
+
+@needs_fork
+def test_interrupted_train_leaves_no_process_in_its_group(tmp_path, moon_csv):
+    import signal
+    import subprocess
+
+    import bridgekit
+    from conftest import children_of
+
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(tiny_config_text(n_iters=10_000_000, eval_every=20))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(BRIDGEKIT_THREADS="1", PYTHONUNBUFFERED="1",
+               PYTHONPATH=str(Path(bridgekit.__file__).parents[1]))
+    argv = [sys.executable, "-m", "bridgekit.cli", "train", "--data", str(moon_csv),
+            "--config", str(cfg), "--out", str(tmp_path / "m")]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        assert proc.stdout.readline().startswith("iter 20: ")  # training is under way
+        children = children_of(proc.pid)
+        os.kill(proc.pid, signal.SIGINT)
+        proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode != 0
+    if len(os.sched_getaffinity(0)) >= 2:  # one BLAS thread, two cores: training forked
+        assert len(children) == 1
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert not (tmp_path / "m").exists()
 
 
 # ---------------------------------------------------------------------------

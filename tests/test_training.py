@@ -1,3 +1,8 @@
+import os
+import signal
+import sys
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,7 +18,8 @@ from bridgekit import (
     sample_training_batch,
     train,
 )
-from bridgekit.errors import ConfigError, NumericsError
+from bridgekit import _workers
+from bridgekit.errors import BridgekitError, ConfigError, NumericsError
 from bridgekit.sde import SINGULARITY_GUARD, bridge_drift_target
 from bridgekit.training import (
     TrainingBatch,
@@ -307,6 +313,168 @@ def test_loss_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,total,regression,regularization,mean_m_sq"
     assert len(lines) == 6
+
+
+# ---------------------------------------------------------------------------
+# The correction net in a forked process
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or os.uname().machine != "x86_64",
+    reason="the forked correction process runs on x86-64 Linux only")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Trains with the correction net in a process of its own, as where the
+    BLAS cap leaves a core for each net."""
+    monkeypatch.setattr(_workers, "workers", lambda n_tasks: n_tasks)
+
+
+def in_both_modes(monkeypatch, run):
+    """``run()`` in process, then with the correction net forked."""
+    monkeypatch.setattr(_workers, "workers", lambda n_tasks: 1)
+    alone = run()
+    monkeypatch.setattr(_workers, "workers", lambda n_tasks: n_tasks)
+    return alone, run()
+
+
+def outcome(run):
+    """The NumericsError message of ``run()``, or None."""
+    try:
+        run()
+    except NumericsError as exc:
+        return str(exc)
+    return None
+
+
+@needs_fork
+@pytest.mark.parametrize("d, drift_kw, doob_kw, cfg_kw", [
+    (1, {}, {}, {}),
+    (2, {"dropout_rate": 0.1}, {"dropout_rate": 0.1},
+     {"times_per_pair": 2, "lambda_mode": "linear-in-t", "lambda_value": 0.5}),
+    (3, {"dropout_rate": 0.1, "hidden_dim": 9, "time_embed_dim": 8},
+     {"dropout_rate": 0.1, "hidden_dim": 5, "time_embed_dim": 6}, {}),
+    (2, {"dropout_rate": 0.1}, {"dropout_rate": 0.1, "uses_drift_input": False}, {}),
+    (3, {"dropout_rate": 0.1}, {"time_embed_dim": 4}, {"times_per_pair": 2}),
+    (1, {}, {"dropout_rate": 0.2, "uses_drift_input": False}, {}),
+], ids=["d1", "d2-dropout-linear", "d3-unequal-widths", "d2-no-drift-input",
+        "d3-dropout-in-drift-only", "d1-dropout-in-doob-only"])
+def test_forked_correction_net_trains_the_same_bits(monkeypatch, d, drift_kw, doob_kw, cfg_kw):
+    data = generate_gauss_pairs(30, d, shift=np.linspace(1.0, -1.0, d),
+                                rng=np.random.default_rng(d))
+    base = {"hidden_dim": 7, "time_embed_dim": 8}
+    drift_spec = MlpSpec(input_dim=d, output_dim=d, **{**base, **drift_kw})
+    doob_spec = MlpSpec(input_dim=d, output_dim=d, **{**base, **doob_kw})
+    cfg = TrainConfig(batch_size=8, n_iters=25, seed=d, **cfg_kw)
+    alone, split = in_both_modes(monkeypatch, lambda: train(data, cfg, drift_spec, doob_spec))
+    assert (alone.workers, split.workers) == (1, 2)
+    assert split.drift.theta.tobytes() == alone.drift.theta.tobytes()
+    assert split.doob.theta.tobytes() == alone.doob.theta.tobytes()
+    assert split.trace == alone.trace
+    assert (alone.wait_seconds, alone.correction_peak_rss_mb) == (0.0, None)
+    assert split.wait_seconds > 0.0 and split.correction_peak_rss_mb > 1.0
+
+
+@needs_fork
+def test_forked_training_keeps_its_bits_on_one_core(monkeypatch):
+    # Both processes on one core: hand-offs outlast the spin and either side
+    # can be preempted anywhere in an iteration.
+    spec = MlpSpec(input_dim=2, output_dim=2, hidden_dim=6, time_embed_dim=8, dropout_rate=0.1)
+    cfg = TrainConfig(batch_size=8, n_iters=30, seed=9)
+    own = os.sched_getaffinity(0)
+
+    def on_one_core():
+        os.sched_setaffinity(0, {min(own)})
+        try:
+            return train(GAUSS, cfg, spec, spec)
+        finally:
+            os.sched_setaffinity(0, own)
+
+    alone, split = in_both_modes(monkeypatch, on_one_core)
+    assert split.workers == 2
+    assert split.drift.theta.tobytes() == alone.drift.theta.tobytes()
+    assert split.doob.theta.tobytes() == alone.doob.theta.tobytes()
+    assert split.trace == alone.trace
+
+
+@needs_fork
+def test_forked_training_reports_progress_and_zero_iterations_alike(monkeypatch):
+    seen = []
+    cfg = TrainConfig(n_iters=10, batch_size=4, seed=2, eval_every=3)
+    alone, split = in_both_modes(
+        monkeypatch, lambda: train(GAUSS, cfg, progress=lambda it, b: seen.append((it, b))))
+    assert seen[:3] == seen[3:] and [it for it, _ in seen[:3]] == [3, 6, 9]
+    alone, split = in_both_modes(monkeypatch, lambda: train(GAUSS, TrainConfig(n_iters=0)))
+    assert split.doob.theta.tobytes() == alone.doob.theta.tobytes()
+
+
+@needs_fork
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("data, cfg, message", [
+    # the drift net's first layer overflows (it is checked first)
+    (AlignedDataset(x0=np.full((20, 2), 1.7e308), x1=np.full((20, 2), 1.7e308)),
+     TrainConfig(batch_size=8, n_iters=3), "non-finite activation in x_enc layer 0"),
+    # both nets overflow in their second layer in the second iteration
+    (GAUSS, TrainConfig(batch_size=8, n_iters=3, lr_drift=1e300, lr_doob=1e300),
+     "non-finite activation in x_enc layer 1"),
+    # only the correction net overflows: its weights alone took a 1e300 step,
+    # so a forked run finds the layer in the correction process
+    (GAUSS, TrainConfig(batch_size=8, n_iters=3, lr_doob=1e300),
+     "non-finite activation in x_enc layer 1"),
+    # every activation is finite, the loss is not
+    (AlignedDataset(x0=np.full((20, 2), 1e200), x1=np.full((20, 2), -1e200)),
+     TrainConfig(batch_size=8, n_iters=3), "non-finite loss at iteration 0: "),
+], ids=["drift-layer", "both-nets", "correction-layer", "loss-only"])
+def test_forked_training_raises_the_same_numerics_error(monkeypatch, data, cfg, message):
+    alone, split = in_both_modes(monkeypatch, lambda: outcome(lambda: train(data, cfg)))
+    assert split == alone
+    assert alone.startswith(message)
+
+
+@needs_fork
+def test_a_killed_correction_process_ends_training_with_its_status(forked, monkeypatch):
+    children = []
+    fork = os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    def kill_it(it, breakdown):
+        os.kill(children[0], signal.SIGKILL)
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    started = time.monotonic()
+    with pytest.raises(BridgekitError, match=r"correction network's process ended with signal 9"):
+        train(GAUSS, TrainConfig(batch_size=4, n_iters=10_000, eval_every=5),
+              progress=kill_it)
+    assert time.monotonic() - started < 30.0
+
+
+@needs_fork
+def test_a_failed_correction_process_ends_training_with_its_exit_status(forked, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("no backward")
+
+    monkeypatch.setattr(DoobNet, "backward", fail)  # called in the child only
+    with pytest.raises(BridgekitError, match=r"correction network's process ended with exit "
+                                             r"status 1$"):
+        train(GAUSS, TrainConfig(batch_size=4, n_iters=10))
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_error_in_the_training_process_ends_the_correction_process(forked, error):
+    # A progress callback that raises leaves no child behind: the autouse
+    # fixture in conftest.py fails a test that does.
+    def stop(it, breakdown):
+        raise error("stop")
+
+    with pytest.raises(error, match="stop"):
+        train(GAUSS, TrainConfig(batch_size=4, n_iters=10_000, eval_every=5), progress=stop)
 
 
 # ---------------------------------------------------------------------------
