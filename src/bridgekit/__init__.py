@@ -19,7 +19,7 @@ if "BRIDGEKIT_THREADS" in _os.environ and "numpy" not in _sys.modules:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["BRIDGEKIT_THREADS"])
 
-__version__ = "0.1.23"
+__version__ = "0.1.24"
 
 from .csvio import (
     read_cloud,

@@ -12,7 +12,7 @@ part files beside them; when the command returns, ``main`` has ``_write_manifest
 write the manifest and move each part into place, the manifest last, and prints
 the command's success line. It removes the parts of a failed run.
 ``sample`` simulates and writes one wave of trajectories at a time, one chunk
-per simulation worker (``sde.simulation_wave``); only the endpoints are kept
+per simulation worker (``sde.simulation_waves``); only the endpoints are kept
 across waves.
 
 The BRIDGEKIT_THREADS environment variable caps the BLAS worker threads
@@ -56,7 +56,7 @@ from .datasets import (MOON_DEFAULT_NOISE, T_DEFAULT_NOISE, generate_gauss_pairs
 from .errors import BridgekitError, DataError, NumericsError, UsageError
 from .metrics import _mmd_workers, mmd, ps_l2, rmsd, sinkhorn_w
 from .plotting import write_svg
-from .sde import TimeGrid, simulate_sde, simulation_wave
+from .sde import TimeGrid, simulate_sde, simulation_waves
 from .serialize import load_model
 from .training import export_drift, read_config, save_train_result, train, write_loss_trace
 
@@ -213,6 +213,7 @@ def cmd_train(args) -> tuple[str | None, dict]:
             {"config": config.to_dict(), "seed": config.seed,
              "training_workers": result.workers,
              "correction_wait_seconds": result.wait_seconds,
+             "correction_idle_seconds": result.correction_idle_seconds,
              "correction_peak_rss_mb": result.correction_peak_rss_mb})
 
 
@@ -249,16 +250,16 @@ def cmd_sample(args) -> tuple[str | None, dict]:
         )
     n_traj = len(x0) * args.n_poses  # trajectory i starts at x0[i // n_poses]
     grid = TimeGrid(args.steps)
-    n_workers, wave = simulation_wave(n_traj)
+    n_workers, waves = simulation_waves(n_traj)
     endpoints = np.empty((n_traj, x0.shape[1]))
     _end_phase(args, "read")
-    for lo in range(0, n_traj, wave):
-        starts = x0[np.arange(lo, min(lo + wave, n_traj)) // args.n_poses]
+    for lo, hi in waves:
+        starts = x0[np.arange(lo, hi) // args.n_poses]
         batch = simulate_sde(starts, model.drift, model.schedule, grid,
                              seed=args.seed, traj_offset=lo)
         _end_phase(args, "simulate")
         write_trajectories(parts["--out"], batch, first_id=lo)
-        endpoints[lo:lo + wave] = batch.endpoints
+        endpoints[lo:hi] = batch.endpoints
         del batch  # before the next wave's states are allocated
         _end_phase(args, "write")
     write_cloud(parts["--endpoints-out"], endpoints)

@@ -214,6 +214,21 @@ def dropout_draws(spec: MlpSpec, rows: int) -> int:
     return ACTIVATED_LAYERS * rows * spec.hidden_dim if spec.dropout_rate > 0.0 else 0
 
 
+def dropout_masks(spec: MlpSpec, rows: int, rng) -> Optional[np.ndarray]:
+    """The dropout masks of a train-mode pass of ``rows`` rows, one per
+    activated layer, in one draw from ``rng`` (the same stream as one draw per
+    layer in forward order); None without dropout."""
+    rate = spec.dropout_rate
+    if rate == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("train-mode forward with dropout needs an rng")
+    masks = rng.random((ACTIVATED_LAYERS, rows, spec.hidden_dim))
+    np.greater_equal(masks, rate, out=masks)
+    masks *= 1.0 / (1.0 - rate)  # keep / (1 - rate), bit for bit
+    return masks
+
+
 # ---------------------------------------------------------------------------
 # Time features
 # ---------------------------------------------------------------------------
@@ -388,7 +403,8 @@ class _TimeConditionedNet:
             raise ValueError("drift value input must match the state shape")
         return t, np.concatenate([x, extra], axis=1)
 
-    def forward(self, t, x, extra=None, train=False, rng=None, keep_cache=True, emb=None):
+    def forward(self, t, x, extra=None, train=False, rng=None, keep_cache=True, emb=None,
+                masks=None):
         """Returns (output, cache).
 
         With ``keep_cache=False`` an eval-mode pass takes the cache-free
@@ -397,10 +413,9 @@ class _TimeConditionedNet:
         if that pass rounds to finite values, the output is still an error.
         A pass that keeps a cache checks nothing: a caller that finds its
         output non-finite calls ``check_finite``. ``emb`` may pass
-        ``time_embed(t, spec.time_embed_dim)`` rows already made.
+        ``time_embed(t, spec.time_embed_dim)`` rows already made, and
+        ``masks`` a train-mode pass's ``dropout_masks`` already drawn.
         """
-        if train and self.spec.dropout_rate > 0.0 and rng is None:
-            raise ValueError("train-mode forward with dropout needs an rng")
         t, net_in = self.inputs(t, x, extra)
         if not (train or keep_cache):
             out = self._infer(t, net_in)
@@ -410,25 +425,22 @@ class _TimeConditionedNet:
                 out, cache = self.forward(t, x, extra)
             self.check_finite(cache, out)
             raise NumericsError("non-finite network output")
-        return self.time_pass(t, net_in.shape[0], train, rng, emb)(net_in)
+        return self.time_pass(t, net_in.shape[0], train, rng, emb, masks)(net_in)
 
-    def time_pass(self, t, rows, train=False, rng=None, emb=None):
+    def time_pass(self, t, rows, train=False, rng=None, emb=None, masks=None):
         """The part of a cached pass that does not read the state: the
-        dropout masks and the time branch for ``rows`` rows at ``t``. Returns
-        ``finish(net_in)``, which runs the state branch and the head on the
-        network input (see ``inputs``) and returns (output, cache) as
-        ``forward`` does. Training's correction process runs this part while
-        the drift value that its input needs is still being computed."""
-        rate = self.spec.dropout_rate
+        dropout masks (drawn from ``rng`` unless ``masks`` are given) and the
+        time branch for ``rows`` rows at ``t``. Returns ``finish(net_in)``,
+        which runs the state branch and the head on the network input (see
+        ``inputs``) and returns (output, cache) as ``forward`` does. Training's
+        correction process runs this part while the drift value that its input
+        needs is still being computed."""
         if emb is None:
             emb = time_embed(np.broadcast_to(t, (rows,)), self.spec.time_embed_dim)
+        if train and masks is None:
+            masks = dropout_masks(self.spec, rows, rng)
         mx = mt = mh = None
-        if train and rate > 0.0:
-            # One draw for the masks of every activated layer: the same stream
-            # as one draw per layer in forward order.
-            masks = rng.random((ACTIVATED_LAYERS, rows, self.spec.hidden_dim))
-            np.greater_equal(masks, rate, out=masks)
-            masks *= 1.0 / (1.0 - rate)  # keep / (1 - rate), bit for bit
+        if train and masks is not None:
             head_from = X_ENC_LAYERS + T_ENC_LAYERS
             mx, mt, mh = masks[:X_ENC_LAYERS], masks[X_ENC_LAYERS:head_from], masks[head_from:]
         scratch = self._buffers(rows)

@@ -350,15 +350,20 @@ def _simulate_times(
     return states if record else endpoints
 
 
-def simulation_wave(n_traj: int) -> tuple[int, int]:
-    """``(W, W * _SIM_CHUNK)`` for ``n_traj`` trajectories: the threads
+def simulation_waves(n_traj: int) -> tuple[int, list[tuple[int, int]]]:
+    """``(W, waves)`` for ``n_traj`` trajectories: the threads
     :func:`simulate_sde` runs them on, one chunk each at a time, and the
-    trajectories of one wave of such chunks. Calls on consecutive slices of
-    that many rows, each with ``traj_offset`` at its slice's start, give the
-    paths of one call bit for bit: the chunks, their rows and their noise
-    are the same."""
+    ``(lo, hi)`` row slices of its waves of W chunks; a last slice shorter
+    than a chunk joins the wave before, which saves one wave's fixed cost.
+    Calls on these slices, each with ``traj_offset`` at its slice's start,
+    give the paths of one call bit for bit: every slice starts at a multiple
+    of ``_SIM_CHUNK``, so the chunks, their rows and their noise are the
+    same."""
     n_workers = workers(-(-n_traj // _SIM_CHUNK))
-    return n_workers, n_workers * _SIM_CHUNK
+    starts = list(range(0, n_traj, n_workers * _SIM_CHUNK))
+    if len(starts) > 1 and n_traj - starts[-1] < _SIM_CHUNK:
+        del starts[-1]
+    return n_workers, list(zip(starts, starts[1:] + [n_traj]))
 
 
 def simulate_sde(

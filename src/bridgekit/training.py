@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Optional, get_type_hints
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from . import _workers
 from .csvio import write_csv
 from .datasets import AlignedDataset
 from .errors import BridgekitError, ConfigError, DataError, NumericsError
-from .nets import (DoobNet, DriftNet, MlpSpec, dropout_draws, make_doob_spec, make_drift_spec,
-                   time_embed)
+from .nets import (DoobNet, DriftNet, MlpSpec, dropout_draws, dropout_masks, make_doob_spec,
+                   make_drift_spec, time_embed)
 from .optim import AdamW, EmaTracker
 from .sde import SINGULARITY_GUARD, DiffusivitySchedule, bridge_drift_target, bridge_marginal_sample
 from .serialize import KIND_PAIR, LoadedModel, load_model, save_model
@@ -190,6 +190,30 @@ def _lambda_at(t: np.ndarray, mode: str, value: float) -> np.ndarray:
     raise ConfigError(f"lambda_mode must be one of {LAMBDA_MODES}")
 
 
+class LossInputs(NamedTuple):
+    """What a loss evaluation takes from its batch and the random streams
+    alone, not from either net's weights."""
+
+    target: np.ndarray  # (n, d) bridge drift target
+    lam: np.ndarray  # (n,) lambda(t)
+    emb: np.ndarray  # (n, drift time_embed_dim) time features
+    masks: Optional[np.ndarray]  # the drift net's dropout masks; None without
+
+
+def loss_inputs(batch: TrainingBatch, drift_spec: MlpSpec, lambda_mode: str = "constant",
+                lambda_value: float = 1.0, train_mode: bool = False,
+                rng: Optional[np.random.Generator] = None) -> LossInputs:
+    """The drift target of the batch's own schedule (from the ``beta_t`` the
+    batch carries), lambda(t), and the drift net's time features and, in
+    train mode, its dropout masks drawn from ``rng``."""
+    return LossInputs(
+        bridge_drift_target(batch.x_t, batch.x1, batch.t, batch.schedule, beta_t=batch.beta_t),
+        _lambda_at(batch.t, lambda_mode, lambda_value),
+        time_embed(batch.t, drift_spec.time_embed_dim),
+        dropout_masks(drift_spec, len(batch), rng) if train_mode else None,
+    )
+
+
 def loss_batch(
     batch: TrainingBatch,
     drift: DriftNet,
@@ -198,32 +222,32 @@ def loss_batch(
     lambda_value: float = 1.0,
     train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
+    inputs: Optional[LossInputs] = None,
 ):
     """Mean squared residual against the bridge drift plus the ||m||^2 term.
 
-    The drift target is that of the batch's own schedule, from the
-    ``beta_t`` the batch carries. Returns (LossBreakdown, drift parameter
-    grads, correction parameter grads). Gradients flow into the drift net
-    only through its own output; the correction net sees the drift value as
-    a constant. When the loss is not finite because a layer output is not,
-    NumericsError names the layer.
+    Returns (LossBreakdown, drift parameter grads, correction parameter
+    grads). Gradients flow into the drift net only through its own output;
+    the correction net sees the drift value as a constant. When the loss is
+    not finite because a layer output is not, NumericsError names the layer.
+    ``inputs`` may pass ``loss_inputs`` of the same arguments already made;
+    training makes them an iteration ahead (``_Feed``). The drift net's masks
+    are drawn from ``rng`` before the correction net's.
     """
     if len(batch) == 0:
         raise DataError("empty training batch")
     n = len(batch)
-    target = bridge_drift_target(batch.x_t, batch.x1, batch.t, batch.schedule,
-                                 beta_t=batch.beta_t)
+    if inputs is None:
+        inputs = loss_inputs(batch, drift.spec, lambda_mode, lambda_value, train_mode, rng)
+    target, lam, emb, masks = inputs
 
-    emb = None
-    if drift.spec.time_embed_dim == doob.spec.time_embed_dim:
-        emb = time_embed(batch.t, drift.spec.time_embed_dim)
-    b_out, b_cache = drift.forward(batch.t, batch.x_t, train=train_mode, rng=rng, emb=emb)
+    b_out, b_cache = drift.forward(batch.t, batch.x_t, train=train_mode, emb=emb, masks=masks)
     extra = b_out if doob.spec.uses_drift_input else None
+    shared = emb if doob.spec.time_embed_dim == drift.spec.time_embed_dim else None
     m_out, m_cache = doob.forward(batch.t, batch.x_t, extra=extra, train=train_mode, rng=rng,
-                                  emb=emb)
+                                  emb=shared)
 
     resid = target - (b_out + m_out)
-    lam = _lambda_at(batch.t, lambda_mode, lambda_value)
     sq_m = np.sum(m_out * m_out, axis=1)
     # Each mean is its sum over n, as np.mean computes it.
     regression = float(np.sum(resid * resid, axis=1).sum()) / n
@@ -260,13 +284,42 @@ class TrainResult:
     workers: int = 1  # 2 when the correction net stepped in a process of its own
     wait_seconds: float = 0.0  # the drift side's time waiting for that process
     correction_peak_rss_mb: Optional[float] = None  # that process's peak RSS
+    correction_idle_seconds: float = 0.0  # that process's time waiting for the drift side
+
+
+class _Feed:
+    """Each iteration's batch and ``loss_inputs``: what it takes from the
+    random streams alone. ``pop`` hands out the next iteration's, made then
+    unless ``fill`` made them already. The forked loop fills while it waits
+    for the correction output, after it has skipped the correction net's
+    mask draws, so either way each stream is read in the same order: batch,
+    drift masks, correction masks, iteration by iteration."""
+
+    def __init__(self, dataset: AlignedDataset, config: TrainConfig, drift_spec: MlpSpec,
+                 batches: np.random.Generator, dropout: np.random.Generator):
+        self.dataset, self.config, self.drift_spec = dataset, config, drift_spec
+        self.batches, self.dropout = batches, dropout
+        self._left = config.n_iters
+        self._next = None
+
+    def fill(self) -> None:
+        if self._next is None and self._left:
+            batch = sample_training_batch(self.dataset, self.config, self.batches)
+            self._next = batch, loss_inputs(batch, self.drift_spec, self.config.lambda_mode,
+                                            self.config.lambda_value, True, self.dropout)
+
+    def pop(self) -> tuple[TrainingBatch, LossInputs]:
+        self.fill()
+        ready, self._next = self._next, None
+        self._left -= 1
+        return ready
 
 
 class _InProcess:
     """The correction net's AdamW and EMA steps, on the calling thread."""
 
     workers = 1
-    wait_seconds = 0.0
+    wait_seconds = idle_seconds = 0.0
     peak_rss_mb = None
 
     def __init__(self, doob: DoobNet, config: TrainConfig):
@@ -337,35 +390,38 @@ class _Forked:
     draw and time branch before the drift value arrives. Per iteration the
     parent posts the drift output (when the correction net takes it), the
     child posts the correction output, and the parent posts the correction
-    net's output cotangent; both sides then step their own net. Data and
-    counters share one anonymous shared mapping; x86-64 keeps stores in
-    order, so data written before a counter is seen with it. At the end the
-    child posts its EMA vector and exits through ``os._exit``.
+    net's output cotangent; both sides then step their own net. While the
+    parent waits for the correction output it makes the next iteration's
+    batch, drift target, lambda(t), time features and drift masks
+    (``_Feed.fill``). Data and counters share one anonymous shared mapping;
+    x86-64 keeps stores in order, so data written before a counter is seen
+    with it. At the end the child posts its EMA vector and its summed wait
+    for the parent, and exits through ``os._exit``.
     """
 
     workers = 2
 
-    def __init__(self, doob: DoobNet, drift_spec: MlpSpec, dataset: AlignedDataset,
-                 config: TrainConfig, batches: np.random.Generator,
-                 dropout: np.random.Generator):
+    def __init__(self, doob: DoobNet, feed: _Feed):
         import mmap
 
         self.spec = doob.spec
-        self.wait_seconds = 0.0
+        self.wait_seconds = self.idle_seconds = 0.0
         self.peak_rss_mb = None
         self._pid = None
         self._posted = self._seen = 0
-        rows = config.batch_size * config.times_per_pair
-        # b_out, d_m, m_out and the EMA vector, each from a cache line of its own
-        sizes = (rows * doob.spec.output_dim,) * 3 + (doob.theta.size,)
+        self._feed = feed
+        rows = feed.config.batch_size * feed.config.times_per_pair
+        # b_out, d_m, m_out, the EMA vector and the child's idle seconds,
+        # each from a cache line of its own
+        sizes = (rows * doob.spec.output_dim,) * 3 + (doob.theta.size, 1)
         starts = list(accumulate((-(-size // 8) * 8 for size in sizes), initial=0))
         self._map = mmap.mmap(-1, 128 + 8 * starts[-1] + 256)
         self._ctl = memoryview(self._map)[:128].cast("q")
         floats = np.frombuffer(self._map, np.float64, count=starts[-1], offset=128)
-        self._b_out, self._d_m, self._m_out, self._shadow = (
+        self._b_out, self._d_m, self._m_out, self._shadow, self._idle = (
             floats[start:start + size] for start, size in zip(starts, sizes))
         self._reply = memoryview(self._map)[128 + 8 * starts[-1]:]
-        self._child_args = (doob, drift_spec, dataset, config, batches, dropout)
+        self._doob = doob
 
     # -- the parent ---------------------------------------------------------
 
@@ -390,7 +446,7 @@ class _Forked:
                 quiet = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(quiet, 1)
                 os.dup2(quiet, 2)
-                self._serve(parent, *self._child_args)
+                self._serve(parent, self._doob, self._feed)
                 code = 0
             finally:
                 os._exit(code)
@@ -432,6 +488,7 @@ class _Forked:
         draws = dropout_draws(self.spec, len(x)) if train else 0
         if draws:  # the child draws the correction net's masks
             rng.bit_generator.advance(draws)
+        self._feed.fill()
         self._wait()
         return self._m_out.reshape(len(x), -1).copy(), None
 
@@ -452,6 +509,7 @@ class _Forked:
     def ema(self) -> np.ndarray:
         self._wait()
         shadow = self._shadow.copy()
+        self.idle_seconds = float(self._idle[0])
         if self._pid is not None:
             self._reap(0)
         return shadow
@@ -467,19 +525,20 @@ class _Forked:
 
     # -- the child ----------------------------------------------------------
 
-    def _serve(self, parent: int, doob: DoobNet, drift_spec: MlpSpec,
-               dataset: AlignedDataset, config: TrainConfig, batches: np.random.Generator,
-               dropout: np.random.Generator) -> None:
-        ctl = self._ctl
+    def _serve(self, parent: int, doob: DoobNet, feed: _Feed) -> None:
+        ctl, config, dropout = self._ctl, feed.config, feed.dropout
         opt = AdamW(doob.theta, lr=config.lr_doob)
         ema = EmaTracker(doob.theta, decay=config.ema_decay)
         seen = posted = 0
+        idle = 0.0
 
         def request() -> int:
-            nonlocal seen
+            nonlocal seen, idle
             seen += 1
+            started = time.perf_counter()
             if not _await(ctl, _PARENT, seen, lambda: os.getppid() == parent):
                 raise BridgekitError("the training process is gone")
+            idle += time.perf_counter() - started
             return ctl[_KIND]
 
         def post() -> None:
@@ -489,9 +548,9 @@ class _Forked:
 
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(config.n_iters):
-                batch = sample_training_batch(dataset, config, batches)
+                batch = sample_training_batch(feed.dataset, config, feed.batches)
                 n = len(batch)
-                dropout.bit_generator.advance(dropout_draws(drift_spec, n))
+                dropout.bit_generator.advance(dropout_draws(feed.drift_spec, n))
                 finish = doob.time_pass(batch.t, n, train=True, rng=dropout)
                 b_out = None
                 if doob.spec.uses_drift_input:
@@ -514,6 +573,7 @@ class _Forked:
                 opt.step(doob.theta, doob.backward(cache, self._d_m.reshape(n, -1).copy()))
                 ema.update(doob.theta)
         self._shadow[...] = ema.shadow
+        self._idle[0] = idle
         post()
 
 
@@ -563,8 +623,9 @@ def train(
     doob = DoobNet(doob_spec, rng=init_m)
     opt_d = AdamW(drift.theta, lr=config.lr_drift)
     ema_d = EmaTracker(drift.theta, decay=config.ema_decay)
+    feed = _Feed(dataset, config, drift_spec, batches, dropout)
     if _correction_workers() == 2:
-        correction = _Forked(doob, drift_spec, dataset, config, batches, dropout)
+        correction = _Forked(doob, feed)
     else:
         correction = _InProcess(doob, config)
 
@@ -574,14 +635,9 @@ def train(
         # A non-finite value surfaces as the NumericsError below, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             for it in range(config.n_iters):
-                batch = sample_training_batch(dataset, config, batches)
+                batch, inputs = feed.pop()
                 breakdown, grads_d, grads_m = loss_batch(
-                    batch, drift, correction.net,
-                    lambda_mode=config.lambda_mode,
-                    lambda_value=config.lambda_value,
-                    train_mode=True,
-                    rng=dropout,
-                )
+                    batch, drift, correction.net, train_mode=True, rng=dropout, inputs=inputs)
                 if not math.isfinite(breakdown.total):
                     raise NumericsError(f"non-finite loss at iteration {it}: {breakdown}")
                 correction.step(grads_m)
@@ -597,7 +653,8 @@ def train(
     drift.theta[...] = ema_d.shadow
     return TrainResult(drift=drift, doob=doob, trace=trace, config=config,
                        workers=correction.workers, wait_seconds=correction.wait_seconds,
-                       correction_peak_rss_mb=correction.peak_rss_mb)
+                       correction_peak_rss_mb=correction.peak_rss_mb,
+                       correction_idle_seconds=correction.idle_seconds)
 
 
 def write_loss_trace(path, trace: list[LossBreakdown]) -> None:

@@ -8,11 +8,12 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-import pytest
-
+# bridgekit first: it applies BRIDGEKIT_THREADS before numpy loads BLAS.
 import bridgekit as bk
 from bridgekit.nets import make_doob_spec, make_drift_spec
+
+import numpy as np
+import pytest
 
 
 def children_of(pid: int) -> list[int]:

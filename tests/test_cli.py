@@ -329,11 +329,12 @@ def test_train_manifest_records_how_training_ran(tmp_path, moon_csv, monkeypatch
     (alone, *alone_outputs), (split, *split_outputs) = runs[1], runs[2]
     assert split_outputs == alone_outputs
     assert sorted(alone) == sorted(split) == [
-        "command", "config", "correction_peak_rss_mb", "correction_wait_seconds",
-        "duration_seconds", "environment", "input_hashes", "phase_seconds", "seed",
-        "tool_version", "training_workers"]
+        "command", "config", "correction_idle_seconds", "correction_peak_rss_mb",
+        "correction_wait_seconds", "duration_seconds", "environment", "input_hashes",
+        "phase_seconds", "seed", "tool_version", "training_workers"]
     assert (alone["training_workers"], split["training_workers"]) == (1, 2)
     assert alone["correction_wait_seconds"] == 0.0 < split["correction_wait_seconds"]
+    assert alone["correction_idle_seconds"] == 0.0 < split["correction_idle_seconds"]
     assert alone["correction_peak_rss_mb"] is None and split["correction_peak_rss_mb"] > 1.0
     for key in ("command", "config", "seed", "input_hashes", "tool_version"):
         assert split[key] == alone[key]
@@ -410,8 +411,9 @@ def test_sample_output_does_not_depend_on_the_worker_count(tmp_path, trained, mo
     from bridgekit import TimeGrid, _workers, cli, load_model, sde, simulate_sde
     from bridgekit import write_cloud, write_trajectories
 
-    # Chunks of 8 rows: 7 starts x 11 poses are 10 chunks, in at least 4
-    # waves of one chunk per worker at every worker count below.
+    # Chunks of 8 rows: 7 starts x 11 poses are 10 chunks, in at least 3
+    # waves of one chunk per worker at every worker count below; a last
+    # chunk of 5 rows joins the wave before it.
     monkeypatch.setattr(sde, "_SIM_CHUNK", 8)
     offsets = []
     monkeypatch.setattr(cli, "simulate_sde",
@@ -430,7 +432,8 @@ def test_sample_output_does_not_depend_on_the_worker_count(tmp_path, trained, mo
                        "--n-poses", n_poses, "--seed", 4, "--out", traj) == 0
         manifest = json.loads(Path(f"{traj}.manifest.json").read_text())
         workers = manifest["simulation_workers"]
-        assert offsets == list(range(0, 7 * n_poses, 8 * workers))
+        assert offsets == {1: list(range(0, 72, 8)), 2: [0, 16, 32, 48, 64],
+                           3: [0, 24, 48]}[workers]
         runs.append((workers, traj.read_bytes(),
                      (tmp_path / f"traj{len(runs)}_endpoints.csv").read_bytes()))
     assert [workers for workers, *_ in runs] == [1, 2, 3]
@@ -442,6 +445,35 @@ def test_sample_output_does_not_depend_on_the_worker_count(tmp_path, trained, mo
     write_cloud(tmp_path / "one_endpoints.csv", batch.endpoints)
     one = ((tmp_path / "one.csv").read_bytes(), (tmp_path / "one_endpoints.csv").read_bytes())
     assert all(run[1:] == one for run in runs)
+
+
+def test_sample_runs_a_short_last_chunk_in_the_wave_before(tmp_path, trained, monkeypatch):
+    from bridgekit import TimeGrid, _workers, cli, load_model, sde, simulate_sde
+    from bridgekit import write_cloud, write_trajectories
+
+    # One worker and chunks of 8 rows: 7 starts x 3 poses are two full
+    # chunks and one of 5 rows, run in two waves, the second of 13 rows.
+    monkeypatch.setattr(sde, "_SIM_CHUNK", 8)
+    monkeypatch.setattr(_workers, "_BLAS_CAP", None)
+    rows = []
+    monkeypatch.setattr(cli, "simulate_sde",
+                        lambda *a, **k: rows.append((k["traj_offset"], len(a[0])))
+                        or simulate_sde(*a, **k))
+    data = tmp_path / "starts.csv"
+    write_cloud(data, np.random.default_rng(6).normal(size=(7, 2)))
+    traj = tmp_path / "traj.csv"
+    assert run_cli("sample", "--model", trained, "--data", data, "--steps", 3,
+                   "--n-poses", 3, "--seed", 4, "--out", traj) == 0
+    assert rows == [(0, 8), (8, 13)]
+    # One library call on every start at once writes the same bytes.
+    model = load_model(trained)
+    starts = np.repeat(read_cloud(data), 3, axis=0)
+    batch = simulate_sde(starts, model.drift, model.schedule, TimeGrid(3), seed=4)
+    write_trajectories(tmp_path / "one.csv", batch)
+    write_cloud(tmp_path / "one_endpoints.csv", batch.endpoints)
+    assert traj.read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert (tmp_path / "traj_endpoints.csv").read_bytes() == (
+        tmp_path / "one_endpoints.csv").read_bytes()
 
 
 def test_sample_memory_does_not_grow_with_the_trajectory_count(tmp_path, trained, monkeypatch):

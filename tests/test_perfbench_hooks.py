@@ -5,10 +5,13 @@ it hooks fails here rather than as a skipped row in a benchmark run. The
 tracer is read and executed from its source file; nothing is written next
 to it."""
 
+import os
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bridgekit as bk
 
@@ -22,7 +25,10 @@ def load_spans():
     return module
 
 
-def test_tracer_hooks_record_every_net_span():
+def test_tracer_hooks_record_every_net_span(monkeypatch):
+    from bridgekit import _workers
+
+    monkeypatch.setattr(_workers, "_BLAS_CAP", None)  # training in process: both nets traced
     tracer = load_spans().Tracer()
     tracer.install_bridgekit_hooks()
     try:
@@ -43,6 +49,31 @@ def test_tracer_hooks_record_every_net_span():
     for name in ("nets.forward_train", "nets.forward_eval", "nets.backward"):
         assert all(span["flops"] > 0 for span in by_name[name]), name
     assert "forward" not in vars(bk.DriftNet)  # the hooks are gone again
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or os.uname().machine != "x86_64",
+                    reason="the forked correction process runs on x86-64 Linux only")
+def test_tracer_hooks_record_the_drift_net_spans_of_forked_training(monkeypatch):
+    from bridgekit import _workers
+
+    # The correction net steps in a child process, whose spans the tracer
+    # does not see; the drift net's still come to 3 iterations' worth.
+    monkeypatch.setattr(_workers, "workers", lambda n_tasks: n_tasks)
+    tracer = load_spans().Tracer()
+    tracer.install_bridgekit_hooks()
+    try:
+        data = bk.generate_moon(20, rng=np.random.default_rng(0))
+        result = bk.train(data, bk.TrainConfig(batch_size=8, n_iters=3))
+    finally:
+        tracer.uninstall()
+    assert result.workers == 2
+    assert tracer.skipped_hooks == []
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("nets.forward_train") == 3
+    assert names.count("nets.backward") == 3
+    assert names.count("training.loss_batch") == 3
+    assert all(span["flops"] > 0 for span in tracer.spans
+               if span["name"] in ("nets.forward_train", "nets.backward"))
 
 
 def test_tracer_hooks_record_every_sample_span(tmp_path, monkeypatch):

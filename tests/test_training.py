@@ -358,22 +358,31 @@ def outcome(run):
     (2, {"dropout_rate": 0.1}, {"dropout_rate": 0.1, "uses_drift_input": False}, {}),
     (3, {"dropout_rate": 0.1}, {"time_embed_dim": 4}, {"times_per_pair": 2}),
     (1, {}, {"dropout_rate": 0.2, "uses_drift_input": False}, {}),
+    (2, {"dropout_rate": 0.1, "activation": "silu"},
+     {"dropout_rate": 0.1, "activation": "silu"}, {}),
+    (2, {"dropout_rate": 0.2, "activation": "relu"},
+     {"dropout_rate": 0.1, "activation": "relu"}, {"times_per_pair": 2}),
+    (3, {"dropout_rate": 0.1, "activation": "leaky_relu"},
+     {"dropout_rate": 0.3, "activation": "leaky_relu"}, {}),
+    (2, {"dropout_rate": 0.1}, {"dropout_rate": 0.1}, {"n_iters": 1}),
 ], ids=["d1", "d2-dropout-linear", "d3-unequal-widths", "d2-no-drift-input",
-        "d3-dropout-in-drift-only", "d1-dropout-in-doob-only"])
+        "d3-dropout-in-drift-only", "d1-dropout-in-doob-only", "d2-silu-dropout",
+        "d2-relu-dropout", "d3-leaky-relu-dropout", "d2-one-iteration"])
 def test_forked_correction_net_trains_the_same_bits(monkeypatch, d, drift_kw, doob_kw, cfg_kw):
     data = generate_gauss_pairs(30, d, shift=np.linspace(1.0, -1.0, d),
                                 rng=np.random.default_rng(d))
     base = {"hidden_dim": 7, "time_embed_dim": 8}
     drift_spec = MlpSpec(input_dim=d, output_dim=d, **{**base, **drift_kw})
     doob_spec = MlpSpec(input_dim=d, output_dim=d, **{**base, **doob_kw})
-    cfg = TrainConfig(batch_size=8, n_iters=25, seed=d, **cfg_kw)
+    cfg = TrainConfig(**{"batch_size": 8, "n_iters": 25, "seed": d, **cfg_kw})
     alone, split = in_both_modes(monkeypatch, lambda: train(data, cfg, drift_spec, doob_spec))
     assert (alone.workers, split.workers) == (1, 2)
     assert split.drift.theta.tobytes() == alone.drift.theta.tobytes()
     assert split.doob.theta.tobytes() == alone.doob.theta.tobytes()
-    assert split.trace == alone.trace
+    assert split.trace == alone.trace and len(split.trace) == cfg.n_iters
     assert (alone.wait_seconds, alone.correction_peak_rss_mb) == (0.0, None)
     assert split.wait_seconds > 0.0 and split.correction_peak_rss_mb > 1.0
+    assert alone.correction_idle_seconds == 0.0 < split.correction_idle_seconds
 
 
 @needs_fork
